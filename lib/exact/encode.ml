@@ -107,9 +107,49 @@ let counter sat lits ~width =
     s.(m - 1)
   end
 
-(* Adds x(n,c) with exactly-one rows and the r(s,c) receive indicators —
-   everything about the instance that does not depend on the bound k. *)
-let structure sat inst =
+(* CNs grouped by equal per-CN capacity: each class ascending, classes
+   ordered by their lowest CN, so the clause set is a pure function of
+   the instance.  Every clause of the encoding treats two CNs alike
+   unless their capacity tables differ (the wire terms share one
+   [max_in]), so exactly these classes are interchangeable. *)
+let symmetry_classes inst =
+  let cns = List.init inst.cns Fun.id in
+  List.sort_uniq compare
+    (List.map
+       (fun c ->
+         List.filter (fun c' -> inst.capacity.(c') = inst.capacity.(c)) cns)
+       cns)
+
+(* Value precedence over each class c0 < c1 < ...: node i may sit on
+   c(j) (j >= 1) only if some node i' < i sits on c(j-1).  Any model
+   can be relabelled within its classes by first use, so this keeps
+   one representative of every orbit.  y.(i) for CN c reads "some node
+   <= i sits on c", defined in both directions plus monotone links.
+   Needs at least one node. *)
+let precedence sat inst x =
+  let rec chain = function
+    | c :: (c' :: _ as rest) ->
+        let y = Array.init (inst.n - 1) (fun _ -> Sat.new_var sat) in
+        Array.iteri
+          (fun i yi ->
+            Sat.add_clause sat [ -x.(i).(c); yi ];
+            if i = 0 then Sat.add_clause sat [ -yi; x.(0).(c) ]
+            else begin
+              Sat.add_clause sat [ -yi; y.(i - 1); x.(i).(c) ];
+              Sat.add_clause sat [ -y.(i - 1); yi ]
+            end;
+            Sat.add_clause sat [ -x.(i + 1).(c'); yi ])
+          y;
+        Sat.add_clause sat [ -x.(0).(c') ];
+        chain rest
+    | _ -> ()
+  in
+  List.iter chain (symmetry_classes inst)
+
+(* Adds x(n,c) with exactly-one rows, the r(s,c) receive indicators and
+   (with [symmetry]) the precedence chains — everything about the
+   instance that does not depend on the bound k. *)
+let structure ~symmetry sat inst =
   let x =
     Array.init inst.n (fun _ -> Array.init inst.cns (fun _ -> Sat.new_var sat))
   in
@@ -136,6 +176,7 @@ let structure sat inst =
         Sat.add_clause sat [ -x.(m).(c); x.(s).(c); r.(c) ]
       done)
     inst.pairs;
+  if symmetry && inst.n > 0 then precedence sat inst x;
   (x, recv)
 
 (* The strict-mode structural wire constraints.  The MUX fan-in bound is
@@ -211,7 +252,7 @@ let per_cn_groups sat inst (x, recv) ~bound =
 
 let encode ?(strict = false) inst ~k =
   let sat = Sat.create () in
-  let x, recv = structure sat inst in
+  let x, recv = structure ~symmetry:true sat inst in
   per_cn_groups sat inst (x, recv) ~bound:(fun lits mult ->
       at_most sat lits (mult * k));
   if strict then
@@ -226,10 +267,10 @@ type incremental = {
   bounds : (int array * int) list;
 }
 
-let make ?(strict = false) ?reduce_start inst ~max_k =
+let make ?(strict = false) ?(symmetry = true) ?reduce_start inst ~max_k =
   if max_k < 1 then invalid_arg "Encode.make: max_k must be >= 1";
   let sat = Sat.create ?reduce_start () in
-  let x, recv = structure sat inst in
+  let x, recv = structure ~symmetry sat inst in
   let bounds = ref [] in
   let bound lits mult =
     (* Ladder wide enough for the loosest probe: at bound mult*max_k the

@@ -13,9 +13,27 @@
     - in strict mode, [e(a,b)]: some value flows from CN [a] to CN [b]
       (the real-arc indicator bounded by the {!Hca_machine.Pattern_graph}
       MUX capacity), and [w(s,c)]: the value of [s] leaves CN [c]
-      (single-out-wire payload serialisation).
+      (single-out-wire payload serialisation);
+    - [y(i,c)]: some node [<= i] sits on CN [c] — the value-precedence
+      chain, one per CN that has a successor in its symmetry class.
 
     Cardinality bounds use the Sinz sequential-counter encoding.
+
+    {b Symmetry breaking.}  CNs with equal per-CN capacity tables
+    ({!Hca_machine.Machine_desc.cn_table}, which the oracle copies into
+    the flat PG) are interchangeable: every clause above, strict wire
+    clauses included (they share one uniform [max_in]), is invariant
+    under a permutation of such CNs.  Without help an Unsat proof has to
+    refute every relabelling.  Each class [c0 < c1 < ...] therefore gets
+    value precedence: node [i] may sit on [c(j)], [j >= 1], only if some
+    node [i' < i] sits on [c(j-1)].  Sound because any model can be
+    relabelled within each class in order of first use (lowest node
+    index), which satisfies the constraint and changes no cost term;
+    so verdicts at every [k] are those of the plain encoding, only the
+    models differ.  A heterogeneous machine breaks only the symmetry it
+    has: CNs whose tables differ in any field land in different
+    classes.  [~symmetry:false] on {!make} keeps the plain encoding
+    reachable as the test oracle.
 
     Strict mode reproduces the {e structural} wire constraints the SEE
     enforces through {!Hca_machine.Copy_flow}; the default relaxed mode
@@ -77,9 +95,17 @@ type incremental = {
           such that the group's count must stay ≤ [mult]·k *)
 }
 
-val make : ?strict:bool -> ?reduce_start:int -> instance -> max_k:int -> incremental
-(** Builds the probe-many encoding.  [max_k] bounds the loosest probe
-    ({!assumptions} refuses larger k); ladder widths are sized to it,
+val make :
+  ?strict:bool ->
+  ?symmetry:bool ->
+  ?reduce_start:int ->
+  instance ->
+  max_k:int ->
+  incremental
+(** Builds the probe-many encoding; [strict] as for {!encode}.
+    [symmetry] (default [true]) adds the value-precedence chains;
+    [false] gives the plain encoding, for tests only.  [max_k] bounds
+    the loosest probe ({!assumptions} refuses larger k); ladder widths are sized to it,
     so keep it at the first upper bound of the search (the heuristic
     incumbent).  [reduce_start] is passed to {!Sat.create}.
     @raise Invalid_argument if [max_k < 1]. *)

@@ -213,6 +213,24 @@ let test_counter_ladder () =
 (* Incremental vs fresh equivalence, with and without clause reuse.     *)
 (* ------------------------------------------------------------------ *)
 
+(* Verdict and (on Sat) model of "cluster MII <= k" for k = max_k down
+   to 1 — the oracle's order — on one incremental solver, each probe
+   capped at [max_conflicts] (default: uncapped).  [reuse:false] drops
+   the learnt clauses before every probe. *)
+let walk_down ?(strict = false) ?(symmetry = true) ?max_conflicts
+    ?(reuse = true) inst ~max_k =
+  let inc = Encode.make ~strict ~symmetry inst ~max_k in
+  let sat = inc.Encode.enc.Encode.sat in
+  List.init max_k (fun i ->
+      let k = max_k - i in
+      if not reuse then Sat.clear_learnt sat;
+      Sat.new_probe sat;
+      match
+        Sat.solve ~assumptions:(Encode.assumptions inc ~k) ?max_conflicts sat
+      with
+      | Sat.Sat -> (k, Sat.Sat, Some (Encode.decode inst inc.Encode.enc))
+      | v -> (k, v, None))
+
 (* Probe "cluster MII <= k" for every k in [1, max_k], three ways: a
    fresh encoding+solver per k, one incremental solver reusing learnt
    clauses across the walk, and one incremental solver dropping them
@@ -227,14 +245,7 @@ let probe_every_k inst ~max_k =
         Sat.solve enc.Encode.sat)
   in
   let incremental ~reuse =
-    let inc = Encode.make inst ~max_k in
-    let sat = inc.Encode.enc.Encode.sat in
-    List.rev_map
-      (fun k ->
-        if not reuse then Sat.clear_learnt sat;
-        Sat.new_probe sat;
-        Sat.solve ~assumptions:(Encode.assumptions inc ~k) sat)
-      (List.init max_k (fun i -> max_k - i))
+    List.rev_map (fun (_, v, _) -> v) (walk_down ~reuse inst ~max_k)
   in
   (fresh, incremental ~reuse:true, incremental ~reuse:false)
 
@@ -359,6 +370,164 @@ let test_probe_epoch_stats () =
     (Sat.reused_hits sat > 0 || Sat.learnt_total sat = learnt_before)
 
 (* ------------------------------------------------------------------ *)
+(* Symmetry breaking: value precedence over equal-capacity CN classes.  *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact optimum by enumerating all cns^n assignments. *)
+let brute_force_optimum inst =
+  let n = Encode.size inst and cns = Encode.cns inst in
+  let a = Array.make n 0 and best = ref max_int in
+  let rec go i =
+    if i = n then best := min !best (Encode.cluster_mii_of_assignment inst a)
+    else
+      for c = 0 to cns - 1 do
+        a.(i) <- c;
+        go (i + 1)
+      done
+  in
+  go 0;
+  !best
+
+(* Smallest bound the symmetry-broken encoding satisfies. *)
+let encoded_optimum inst =
+  let max_k = Encode.size inst in
+  List.fold_left
+    (fun acc (k, v, _) -> if v = Sat.Sat then min acc k else acc)
+    max_int
+    (walk_down inst ~max_k)
+
+(* Fuzzer draws small enough for the plain encoding to decide every k:
+   up to 10 instructions on the default 4-16 CN machines, a third of
+   them heterogeneous. *)
+let small_ddg_knobs = { Hca_gen.Gen.default_ddg_knobs with max_size = 10 }
+
+let fuzz_instance ?machine_knobs ~ddg_knobs ~hetero seed =
+  let inst = Hca_gen.Gen.instance ~ddg_knobs ?machine_knobs ~seed () in
+  (* [desc ~hetero:0.] is [fabric], so homogeneous draws keep the
+     instance's own machine. *)
+  let fabric = Hca_gen.Gen.desc ?knobs:machine_knobs ~hetero ~seed () in
+  Encode.of_problem (Oracle.problem_of fabric inst.Hca_gen.Gen.ddg)
+
+let symmetry_arb =
+  QCheck.make
+    ~print:(fun (seed, hetero, strict) ->
+      Printf.sprintf "seed=%d hetero=%.1f strict=%b" seed hetero strict)
+    QCheck.Gen.(
+      triple (int_bound 100_000) (oneofl [ 0.; 0.; 0.5 ]) bool)
+
+let prop_symmetry_verdicts_agree =
+  QCheck.Test.make ~name:"verdict = plain verdict at every k"
+    ~count:60 symmetry_arb (fun (seed, hetero, strict) ->
+      let inst = fuzz_instance ~ddg_knobs:small_ddg_knobs ~hetero seed in
+      let max_k = Encode.size inst in
+      let broken =
+        walk_down ~strict ~max_conflicts:100_000 inst ~max_k
+      in
+      (* The plain side pays for every relabelling; a probe it cannot
+         decide within its cap is skipped, never counted as agreement. *)
+      let plain =
+        walk_down ~strict ~symmetry:false ~max_conflicts:20_000 inst ~max_k
+      in
+      List.for_all2
+        (fun (k, v, model) (_, v', _) ->
+          if v = Sat.Unknown then
+            QCheck.Test.fail_reportf "k=%d: broken encoding undecided" k;
+          if v' <> Sat.Unknown && v <> v' then
+            QCheck.Test.fail_reportf "k=%d: verdicts differ" k;
+          match model with
+          | Some a when not strict ->
+              let got = Encode.cluster_mii_of_assignment inst a in
+              if got > k then
+                QCheck.Test.fail_reportf "k=%d: model re-scores to %d" k got;
+              true
+          | _ -> true)
+        broken plain)
+
+let prop_symmetry_vs_brute_force =
+  (* 2x2 machines (4 CNs), at most 7 instructions: 4^7 assignments. *)
+  let machine_knobs =
+    { Hca_gen.Gen.default_machine_knobs with fanout_choices = [| [| 2; 2 |] |] }
+  in
+  let ddg_knobs = { Hca_gen.Gen.default_ddg_knobs with max_size = 7 } in
+  QCheck.Test.make ~name:"optimum = brute force (tiny)"
+    ~count:40 symmetry_arb (fun (seed, hetero, _) ->
+      let inst = fuzz_instance ~machine_knobs ~ddg_knobs ~hetero seed in
+      let brute = brute_force_optimum inst
+      and encoded = encoded_optimum inst in
+      if brute <> encoded then
+        QCheck.Test.fail_reportf "brute force %d, encoding %d" brute encoded;
+      true)
+
+let optgap_fabric = Dspfabric.make ~fanouts:[| 2; 2; 2 |] ~n:4 ~m:4 ~k:4 ()
+
+let test_symmetry_proves_synthetics () =
+  (* The optgap synthetics whose k = 3 refutation the plain encoding
+     cannot finish within 4000 conflicts per probe. *)
+  List.iter
+    (fun (size, seed) ->
+      let ddg =
+        Hca_kernels.Synthetic.generate
+          {
+            Hca_kernels.Synthetic.default with
+            size;
+            layers = 3;
+            recurrences = 1;
+            seed;
+          }
+      in
+      let r =
+        Oracle.run ~budget_s:infinity ~max_conflicts:4000 optgap_fabric ddg
+      in
+      let name = Printf.sprintf "syn%d" size in
+      Alcotest.(check string)
+        (name ^ " proven optimal") "optimal"
+        (Oracle.status_to_string r.Oracle.status);
+      Alcotest.(check int) (name ^ " lower bound") 4 r.Oracle.lower_bound;
+      Alcotest.(check (option int)) (name ^ " optimum") (Some 4)
+        r.Oracle.final_mii)
+    [ (14, 2); (16, 5); (18, 3) ]
+
+let test_symmetry_heterogeneous_classes () =
+  (* Three CNs without an AG unit and one with two: they differ only in
+     AG count, so they must form two classes.  Merged into one, the
+     precedence chain would pin node 0 — an address generator — onto
+     CN 0, which has no AG slot, and refute every bound. *)
+  let tables =
+    [|
+      { Resource.alus = 1; ags = 0 };
+      { Resource.alus = 1; ags = 0 };
+      { Resource.alus = 1; ags = 0 };
+      { Resource.alus = 1; ags = 2 };
+    |]
+  in
+  let fabric =
+    Machine_desc.with_tables
+      (Dspfabric.make ~fanouts:[| 2; 2 |] ~n:2 ~m:2 ~k:2 ())
+      tables
+  in
+  let b = Ddg.Builder.create ~name:"agchain" () in
+  let a = Ddg.Builder.add_instr b ~name:"a" Opcode.Agen in
+  let ld = Ddg.Builder.add_instr b ~name:"ld" Opcode.Load in
+  let x = Ddg.Builder.add_instr b ~name:"x" Opcode.Add in
+  let y = Ddg.Builder.add_instr b ~name:"y" Opcode.Mul in
+  let z = Ddg.Builder.add_instr b ~name:"z" Opcode.Add in
+  let st = Ddg.Builder.add_instr b ~name:"st" Opcode.Store in
+  List.iter
+    (fun (src, dst) -> Ddg.Builder.add_dep b ~src ~dst)
+    [ (a, ld); (ld, x); (x, y); (ld, z); (y, st); (z, st); (a, st) ];
+  let ddg = Ddg.Builder.freeze b in
+  let inst = Encode.of_problem (Oracle.problem_of fabric ddg) in
+  let brute = brute_force_optimum inst in
+  Alcotest.(check int) "encoded optimum = brute force" brute
+    (encoded_optimum inst);
+  let r = Oracle.run ~budget_s:infinity fabric ddg in
+  Alcotest.(check string) "oracle proves it" "optimal"
+    (Oracle.status_to_string r.Oracle.status);
+  let ini = Mii.mii ddg (Dspfabric.resources fabric) in
+  Alcotest.(check (option int)) "oracle optimum" (Some (max ini brute))
+    r.Oracle.final_mii
+
+(* ------------------------------------------------------------------ *)
 (* Cross-check: the oracle is a certified lower bound on the SEE.       *)
 (* ------------------------------------------------------------------ *)
 
@@ -433,6 +602,15 @@ let () =
           Alcotest.test_case "chain optimum" `Quick test_oracle_chain_optimal;
           Alcotest.test_case "strict no better" `Quick test_oracle_strict_no_better;
           Alcotest.test_case "model checks" `Quick test_encode_model_checks;
+        ] );
+      ( "symmetry",
+        [
+          QCheck_alcotest.to_alcotest prop_symmetry_verdicts_agree;
+          QCheck_alcotest.to_alcotest prop_symmetry_vs_brute_force;
+          Alcotest.test_case "optgap synthetics proven" `Quick
+            test_symmetry_proves_synthetics;
+          Alcotest.test_case "heterogeneous classes" `Quick
+            test_symmetry_heterogeneous_classes;
         ] );
       ( "crosscheck",
         [
