@@ -49,6 +49,7 @@
 open Hca_ddg
 open Hca_machine
 open Hca_core
+module Json = Hca_util.Json
 
 let reference = Dspfabric.reference
 
@@ -68,8 +69,6 @@ let max_n = ref None
 
 let heading title = if not !json_mode then Printf.printf "\n=== %s ===\n%!" title
 
-let jstr_of s = Printf.sprintf "%S" s
-
 (* Run-identification echo: every NDJSON row carries the configuration
    fingerprint and the git state it was produced under, so BENCH_*.json
    rows and trace files can be correlated after the fact. *)
@@ -79,30 +78,29 @@ let stamp_fields =
       ( "config_hash",
         (* [Dspfabric.id], not [name]: the name elides fan-outs and
            port counts, so two different machines could stamp alike. *)
-        jstr_of
+        Json.Str
           (Hca_util.Stamp.hash (Config.default, Dspfabric.id reference)) );
-      ("git", jstr_of (Hca_util.Stamp.git_describe ()));
+      ("git", Json.Str (Hca_util.Stamp.git_describe ()));
     ]
 
-(* One NDJSON record.  Values arrive already JSON-encoded (use the j*
-   helpers); OCaml's %S escaping is JSON-compatible for the plain ASCII
-   names used here. *)
+(* One NDJSON record. *)
 let emit_json ~experiment ~kernel fields =
-  Printf.printf "{\"experiment\":%S,\"kernel\":%S%s}\n%!" experiment kernel
-    (String.concat ""
-       (List.map
-          (fun (k, v) -> Printf.sprintf ",%S:%s" k v)
-          (fields @ Lazy.force stamp_fields)))
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          ((("experiment", Json.Str experiment) :: ("kernel", Json.Str kernel)
+           :: fields)
+          @ Lazy.force stamp_fields)))
 
-let jint = string_of_int
+let jint i = Json.Num (float_of_int i)
 
-let jopt_int = function Some i -> string_of_int i | None -> "null"
+let jopt_int = function Some i -> jint i | None -> Json.Null
 
-let jfloat = Printf.sprintf "%.6f"
+let jfloat = Json.decimals 6
 
-let jstr = Printf.sprintf "%S"
+let jstr s = Json.Str s
 
-let jbool = string_of_bool
+let jbool b = Json.Bool b
 
 (* Allocation-churn columns, appended to every NDJSON row built from a
    [Report.t]: the flat-layout work is judged on these as much as on the
@@ -576,7 +574,7 @@ let optgap () =
              ("lower_bound", jint oracle.Hca_exact.Oracle.lower_bound);
              ("copies", jint oracle.Hca_exact.Oracle.copies);
              ( "gap",
-               match gap with Some g -> jfloat g | None -> "null" );
+               match gap with Some g -> jfloat g | None -> Json.Null );
              ("sat_conflicts", jint oracle.Hca_exact.Oracle.explored);
              ("sat_propagations", jint oracle.Hca_exact.Oracle.propagations);
              ("sat_learnt", jint oracle.Hca_exact.Oracle.learnt_total);

@@ -6,10 +6,11 @@
    Both files hold newline-delimited JSON records as emitted by
    [bench/main.exe --json].  For every (experiment, kernel) row present
    in BOTH files, the quality fields — "final_mii", "legal", "copies",
-   and "wires" when present — must match exactly; runtimes and counters
-   may drift, quality may not.  Rows only one side has (new kernels,
-   new experiments) are reported but do not fail the gate, so the
-   baseline does not need to grow in lockstep with the suite.
+   and "wires" when present — must match exactly as parsed JSON values;
+   runtimes and counters may drift, quality may not.  Rows only one side
+   has (new kernels, new experiments) are reported but do not fail the
+   gate, so the baseline does not need to grow in lockstep with the
+   suite.
 
    The "optgap" experiment is skipped by default: its oracle columns
    depend on a SAT budget, so exact equality is not stable across
@@ -48,92 +49,44 @@
    Exit status: 0 clean, 1 on any quality regression or busted runtime
    budget, 2 on usage or parse errors.
 
-   The parser below handles exactly the flat one-line objects
-   [emit_json] produces (string keys, unnested scalar values) — not
-   general JSON.  Keeping it hand-rolled avoids a JSON dependency in
-   the repo's install footprint. *)
+   Rows are read with [Hca_util.Json], the repo's one JSON codec; a
+   line that does not parse is reported with its file and line number.
+   The repo carries no JSON dependency, so the codec is its own. *)
+
+module Json = Hca_util.Json
 
 let quality_fields = [ "final_mii"; "legal"; "copies"; "wires" ]
 
 let skipped_experiments = [ "optgap" ]
 
-let contains_substring hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= hn && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let field name conv fields = Option.bind (List.assoc_opt name fields) conv
 
-(* "key":value scanner over one emit_json line.  Values are scalars
-   (number / bool / null) or %S-escaped strings; a string value is
-   returned with its quotes so comparisons stay exact. *)
-let fields_of_line line =
-  let n = String.length line in
-  let fields = ref [] in
-  let i = ref 0 in
-  let fail msg = failwith (Printf.sprintf "%s in %s" msg line) in
-  let scan_string () =
-    (* [!i] is at the opening quote; returns the contents, leaves [!i]
-       past the closing quote. *)
-    let b = Buffer.create 16 in
-    incr i;
-    let rec go () =
-      if !i >= n then fail "unterminated string"
-      else
-        match line.[!i] with
-        | '"' -> incr i
-        | '\\' when !i + 1 < n ->
-            Buffer.add_char b line.[!i];
-            Buffer.add_char b line.[!i + 1];
-            i := !i + 2;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr i;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  while !i < n do
-    match line.[!i] with
-    | '"' ->
-        let key = scan_string () in
-        if !i >= n || line.[!i] <> ':' then fail "expected ':' after key";
-        incr i;
-        let value =
-          if !i < n && line.[!i] = '"' then "\"" ^ scan_string () ^ "\""
-          else begin
-            let start = !i in
-            while
-              !i < n && (match line.[!i] with ',' | '}' -> false | _ -> true)
-            do
-              incr i
-            done;
-            String.sub line start (!i - start)
-          end
-        in
-        fields := (key, value) :: !fields
-    | _ -> incr i
-  done;
-  List.rev !fields
-
+(* NDJSON file -> ((experiment, kernel), fields) rows, in file order. *)
 let load path =
   let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" then begin
-         let fields = fields_of_line line in
-         match
-           (List.assoc_opt "experiment" fields, List.assoc_opt "kernel" fields)
-         with
-         | Some e, Some k -> rows := ((e, k), fields) :: !rows
-         | _ -> failwith ("row without experiment/kernel: " ^ line)
-       end
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let fail lineno msg =
+        failwith (Printf.sprintf "%s:%d: %s" path lineno msg)
+      in
+      let rec go lineno rows =
+        match input_line ic with
+        | exception End_of_file -> List.rev rows
+        | line when String.trim line = "" -> go (lineno + 1) rows
+        | line -> (
+            match Json.parse line with
+            | Error e -> fail lineno e
+            | Ok (Json.Obj fields) -> (
+                match
+                  ( field "experiment" Json.str fields,
+                    field "kernel" Json.str fields )
+                with
+                | Some e, Some k -> go (lineno + 1) (((e, k), fields) :: rows)
+                | _ -> fail lineno "row without experiment/kernel")
+            | Ok _ -> fail lineno "row is not a JSON object")
+      in
+      go 1 [])
 
 let usage () =
   prerr_endline
@@ -236,8 +189,8 @@ let () =
           let dirty_rows =
             List.filter
               (fun (_, fields) ->
-                match List.assoc_opt "git" fields with
-                | Some v -> contains_substring v "-dirty"
+                match field "git" Json.str fields with
+                | Some v -> String.ends_with ~suffix:"-dirty" v
                 | None -> false)
               baseline
           in
@@ -250,33 +203,23 @@ let () =
           let base_optimal = ref 0 and cur_optimal = ref 0 in
           List.iter
             (fun ((exp, kernel), cur_fields) ->
-              let exp_name =
-                (* experiment/kernel values carry their quotes *)
-                if String.length exp >= 2 then
-                  String.sub exp 1 (String.length exp - 2)
-                else exp
-              in
               match List.assoc_opt (exp, kernel) baseline with
               | _
-                when List.mem exp_name skipped_experiments
-                     && not (!gate_optgap && exp_name = "optgap") ->
+                when List.mem exp skipped_experiments
+                     && not (!gate_optgap && exp = "optgap") ->
                   ()
               | None ->
                   Printf.printf "  new row %s/%s (not in baseline, ok)\n" exp
                     kernel
-              | Some base_fields when exp_name = "optgap" ->
+              | Some base_fields when exp = "optgap" ->
                   (* Budget-robust oracle checks: certificates from two
                      runs of a sound solver can never contradict, no
                      matter how their budgets differed. *)
                   incr compared;
-                  let int_field fields name =
-                    Option.bind (List.assoc_opt name fields) int_of_string_opt
-                  in
-                  let status fields = List.assoc_opt "status" fields in
-                  if status base_fields = Some "\"optimal\"" then
-                    incr base_optimal;
-                  if status cur_fields = Some "\"optimal\"" then
-                    incr cur_optimal;
+                  let int_field fields name = field name Json.int fields in
+                  let status fields = field "status" Json.str fields in
+                  if status base_fields = Some "optimal" then incr base_optimal;
+                  if status cur_fields = Some "optimal" then incr cur_optimal;
                   (match
                      ( int_field cur_fields "lower_bound",
                        int_field base_fields "final_mii" )
@@ -305,7 +248,7 @@ let () =
                        int_field base_fields "final_mii",
                        int_field cur_fields "final_mii" )
                    with
-                  | Some "\"optimal\"", Some "\"optimal\"", Some a, Some b
+                  | Some "optimal", Some "optimal", Some a, Some b
                     when a <> b ->
                       incr regressions;
                       Printf.printf
@@ -324,7 +267,7 @@ let () =
                           incr regressions;
                           Printf.printf
                             "REGRESSION %s/%s: %s was %s, now %s\n" exp kernel
-                            f b c
+                            f (Json.to_string b) (Json.to_string c)
                       | Some _, None ->
                           incr regressions;
                           Printf.printf "REGRESSION %s/%s: %s disappeared\n"
@@ -346,11 +289,9 @@ let () =
                 Printf.printf "  baseline row %s/%s missing from current run\n"
                   exp kernel)
             baseline;
-          (* Row keys carry their JSON quotes; budget specs do not. *)
           List.iter
             (fun ((exp, kernel), budget_s) ->
-              let key = (Printf.sprintf "%S" exp, Printf.sprintf "%S" kernel) in
-              match List.assoc_opt key current with
+              match List.assoc_opt (exp, kernel) current with
               | None ->
                   incr regressions;
                   Printf.printf
@@ -358,11 +299,7 @@ let () =
                      missing from current run\n"
                     exp kernel budget_s
               | Some fields -> (
-                  match
-                    Option.bind
-                      (List.assoc_opt "runtime_s" fields)
-                      float_of_string_opt
-                  with
+                  match field "runtime_s" Json.num fields with
                   | None ->
                       incr regressions;
                       Printf.printf
@@ -384,9 +321,8 @@ let () =
              would notice. *)
           List.iter
             (fun (exp, want) ->
-              let key = Printf.sprintf "%S" exp in
               let got =
-                List.length (List.filter (fun ((e, _), _) -> e = key) current)
+                List.length (List.filter (fun ((e, _), _) -> e = exp) current)
               in
               if got <> want then begin
                 incr regressions;
@@ -404,12 +340,10 @@ let () =
              comparison cancels the machine out. *)
           List.iter
             (fun ((exp, kernel), factor) ->
-              let key = (Printf.sprintf "%S" exp, Printf.sprintf "%S" kernel) in
               let runtime rows =
-                Option.bind (List.assoc_opt key rows) (fun fields ->
-                    Option.bind
-                      (List.assoc_opt "runtime_s" fields)
-                      float_of_string_opt)
+                Option.bind
+                  (List.assoc_opt (exp, kernel) rows)
+                  (field "runtime_s" Json.num)
               in
               match (runtime baseline, runtime current) with
               | None, _ | _, None ->

@@ -474,12 +474,19 @@ let dse_cmd =
         output_string oc (Hca_gen.Dse.to_ndjson result);
         if timing then
           output_string oc
-            (Printf.sprintf
-               "{\"experiment\":\"dse_meta\",\"kernel\":\"sweep\",\"points\":%d,\
-                \"kernels\":%d,\"rows\":%d,\"runtime_s\":%.3f}\n"
-               (List.length points) (List.length kernels)
-               (List.length result.Hca_gen.Dse.evals)
-               (Hca_util.Clock.now () -. t0));
+            (let open Hca_util.Json in
+             let count l = Num (float_of_int (List.length l)) in
+             to_string
+               (Obj
+                  [
+                    ("experiment", Str "dse_meta");
+                    ("kernel", Str "sweep");
+                    ("points", count points);
+                    ("kernels", count kernels);
+                    ("rows", count result.Hca_gen.Dse.evals);
+                    ("runtime_s", decimals 3 (Hca_util.Clock.now () -. t0));
+                  ])
+             ^ "\n");
         close_out oc;
         Printf.printf "rows written to %s\n" path);
     match Hca_gen.Dse.check result with
@@ -1125,7 +1132,7 @@ let loadtest_cmd =
       $ verify $ out)
 
 let top_cmd =
-  let module J = Hca_serve.Json in
+  let module J = Hca_util.Json in
   let fetch socket line =
     match Hca_serve.Loadtest.rpc_once ~path:socket line with
     | Ok j -> j

@@ -840,9 +840,9 @@ let add_forward t ~value ~via =
   ignore (Hca_util.Vec.push t.fwd_val value : int);
   ignore (Hca_util.Vec.push t.fwd_via via : int)
 
-(* Transposition signature: everything that makes two partial solutions
-   behave identically downstream — placement, routed flow, forwards,
-   carried cuts and the (bit-exact) cost terms. *)
+(* Signature over everything that makes two partial solutions behave
+   identically downstream — placement, routed flow, forwards, carried
+   cuts and the (bit-exact) cost terms.  Test oracle only. *)
 let signature t =
   let h = Hca_util.Sig_hash.create () in
   Hca_util.Sig_hash.add_int h t.assigned;
@@ -880,7 +880,7 @@ let equal a b =
   && fwds_equal a b
   && Copy_flow.equal a.flow b.flow
 
-(* Test hook: {!equal} plus the derived structures (members, demand)
+(* Test hook: [equal] plus the derived structures (members, demand)
    and the incremental-cost caches, so the trail property test can
    assert a speculation round trip restores *every* field bit for
    bit. *)

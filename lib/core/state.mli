@@ -189,19 +189,15 @@ val free_issue_slots : t -> cluster:Pattern_graph.node_id -> ii:int -> int
 (** Remaining issue capacity of a cluster under the window [ii]. *)
 
 val signature : t -> int
-(** Transposition signature over placement, flow, forwards and the
-    bit-exact cost terms: two states with different signatures are
-    guaranteed different; equal signatures are confirmed with {!equal}
-    before the SEE drops a beam entry as a duplicate. *)
-
-val equal : t -> t -> bool
-(** Structural identity of two partial solutions: same placement, same
-    routed flow, same forwards, same carried cuts and bit-equal cost
-    terms. *)
+(** Hash over placement, flow, forwards and the bit-exact cost terms:
+    two states with different signatures are guaranteed different.  A
+    property-test oracle next to {!debug_identical}. *)
 
 val debug_identical : t -> t -> bool
-(** {!equal} plus every derived structure and incremental-cost cache —
-    the property-test oracle for speculation round trips. *)
+(** Structural identity of two partial solutions (same placement,
+    routed flow, forwards, carried cuts and bit-equal cost terms) plus
+    every derived structure and incremental-cost cache — the
+    property-test oracle for speculation round trips. *)
 
 val recompute_cost : t -> target_ii:int -> weights:Cost.weights -> unit
 (** From-scratch reference: rebuilds every per-cluster cost

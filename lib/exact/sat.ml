@@ -669,7 +669,9 @@ let solve ?(assumptions = []) ?(deadline = infinity) ?max_conflicts t =
     let assumptions = List.map (internal t) assumptions in
     let nassumed = List.length assumptions in
     let budget =
-      match max_conflicts with Some b -> t.n_conflicts + b | None -> max_int
+      match max_conflicts with
+      | Some b when b < max_int - t.n_conflicts -> t.n_conflicts + b
+      | _ -> max_int
     in
     let restart_base = 64 in
     let restart_idx = ref 1 in

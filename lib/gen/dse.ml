@@ -1,5 +1,6 @@
 open Hca_machine
 open Hca_core
+module Json = Hca_util.Json
 
 type point = { pname : string; desc : Machine_desc.t }
 
@@ -167,14 +168,16 @@ let to_ndjson r =
   let buf = Buffer.create 4096 in
   let row ~experiment ~kernel fields =
     Buffer.add_string buf
-      (Printf.sprintf "{\"experiment\":%S,\"kernel\":%S%s}\n" experiment kernel
-         (String.concat ""
-            (List.map (fun (k, v) -> Printf.sprintf ",%S:%s" k v) fields)))
+      (Json.to_string
+         (Json.Obj
+            (("experiment", Json.Str experiment) :: ("kernel", Json.Str kernel)
+           :: fields)));
+    Buffer.add_char buf '\n'
   in
-  let jint = string_of_int in
-  let jopt = function None -> "null" | Some v -> string_of_int v in
-  let jbool b = if b then "true" else "false" in
-  let jstr s = Printf.sprintf "%S" s in
+  let jint i = Json.Num (float_of_int i) in
+  let jopt = function None -> Json.Null | Some v -> jint v in
+  let jbool b = Json.Bool b in
+  let jstr s = Json.Str s in
   List.iter
     (fun e ->
       let r = e.report in

@@ -8,22 +8,12 @@ type event = {
 
 let dummy = { kind = `Instant; name = ""; ts = 0.; value = 0.; args = [] }
 
-(* %S is not JSON-safe for control characters (OCaml escapes them in
-   decimal), so escape by hand; names and args here are plain ASCII. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The streaming printers below write JSON straight into a buffer; every
+   string goes through the codec's one string writer. *)
+let add_json_string b s =
+  Buffer.add_char b '"';
+  Hca_util.Json.escape_to b s;
+  Buffer.add_char b '"'
 
 (* One sink per domain, single writer (the owning domain), created on
    first use and registered once.  Three destinations share it: the
@@ -287,11 +277,11 @@ module Log = struct
      [log] re-checks under the lock. *)
   let active l = !sink <> None && rank l >= rank !threshold
 
-  let field_json = function
-    | S s -> "\"" ^ json_escape s ^ "\""
-    | I i -> string_of_int i
-    | F f -> Printf.sprintf "%g" f
-    | B b -> string_of_bool b
+  let add_field b = function
+    | S s -> add_json_string b s
+    | I i -> Buffer.add_string b (string_of_int i)
+    | F f -> Printf.bprintf b "%g" f
+    | B v -> Buffer.add_string b (string_of_bool v)
 
   let log level ?req event fields =
     Mutex.lock mu;
@@ -302,14 +292,18 @@ module Log = struct
         let ts = if now > !last_ts then now else !last_ts in
         last_ts := ts;
         let b = Buffer.create 160 in
-        Printf.bprintf b "{\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\"" ts
-          (level_name level) (json_escape event);
+        Printf.bprintf b "{\"ts\":%.6f,\"level\":\"%s\",\"event\":" ts
+          (level_name level);
+        add_json_string b event;
         (match req with
         | Some r -> Printf.bprintf b ",\"req\":%d" r
         | None -> ());
         List.iter
           (fun (k, v) ->
-            Printf.bprintf b ",\"%s\":%s" (json_escape k) (field_json v))
+            Buffer.add_char b ',';
+            add_json_string b k;
+            Buffer.add_char b ':';
+            add_field b v)
           fields;
         Buffer.add_string b "}\n";
         output_string oc (Buffer.contents b);
@@ -548,7 +542,8 @@ module Registry = struct
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":" (json_escape k);
+          add_json_string b k;
+          Buffer.add_char b ':';
           out v)
         xs;
       Buffer.add_char b '}'
@@ -770,27 +765,53 @@ module Summary = struct
 end
 
 module Trace = struct
-  let escape = json_escape
-
-  let args_json args =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) args)
-    ^ "}"
+  (* {"k":"v",...}: span args and the otherData block. *)
+  let add_string_obj b kvs =
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        add_json_string b k;
+        Buffer.add_char b ':';
+        add_json_string b v)
+      kvs;
+    Buffer.add_char b '}'
 
   let chrome_of_streams ?(meta = []) ~epoch streams =
     let b = Buffer.create 65536 in
-    let us ts = Printf.sprintf "%.3f" (1e6 *. (ts -. epoch)) in
     Buffer.add_string b "{\"traceEvents\":[";
     let first = ref true in
     let sep () = if !first then first := false else Buffer.add_char b ',' in
+    let open_named name =
+      sep ();
+      Buffer.add_string b "{\"name\":";
+      add_json_string b name
+    in
+    let where dom ts =
+      Printf.bprintf b ",\"pid\":1,\"tid\":%d,\"ts\":%.3f" dom
+        (1e6 *. (ts -. epoch))
+    in
+    let args_and_close args =
+      if args <> [] then begin
+        Buffer.add_string b ",\"args\":";
+        add_string_obj b args
+      end;
+      Buffer.add_char b '}'
+    in
+    let counter dom e v =
+      open_named e.name;
+      Buffer.add_string b ",\"ph\":\"C\"";
+      where dom e.ts;
+      Buffer.add_string b ",\"args\":{";
+      add_json_string b e.name;
+      Printf.bprintf b ":%g}}" v
+    in
     List.iter
       (fun (dom, evs) ->
         sep ();
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-             dom dom);
+        Printf.bprintf b
+          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
+          dom dom;
         (* Cumulative counter series per (domain, name) so Perfetto can
            chart rising totals; histogram samples stay raw gauges. *)
         let totals : (string, float) Hashtbl.t = Hashtbl.create 8 in
@@ -798,54 +819,33 @@ module Trace = struct
           (fun e ->
             match e.kind with
             | `Begin ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"cat\":\"hca\",\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%s%s}"
-                     (escape e.name) dom (us e.ts)
-                     (if e.args = [] then ""
-                      else ",\"args\":" ^ args_json e.args))
+                open_named e.name;
+                Buffer.add_string b ",\"cat\":\"hca\",\"ph\":\"B\"";
+                where dom e.ts;
+                args_and_close e.args
             | `End ->
                 sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%s}" dom
-                     (us e.ts))
+                Buffer.add_string b "{\"ph\":\"E\"";
+                where dom e.ts;
+                Buffer.add_char b '}'
             | `Instant ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"cat\":\"hca\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s%s}"
-                     (escape e.name) dom (us e.ts)
-                     (if e.args = [] then ""
-                      else ",\"args\":" ^ args_json e.args))
+                open_named e.name;
+                Buffer.add_string b ",\"cat\":\"hca\",\"ph\":\"i\",\"s\":\"t\"";
+                where dom e.ts;
+                args_and_close e.args
             | `Count ->
                 let t =
                   e.value
                   +. Option.value ~default:0. (Hashtbl.find_opt totals e.name)
                 in
                 Hashtbl.replace totals e.name t;
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":{\"%s\":%g}}"
-                     (escape e.name) dom (us e.ts) (escape e.name) t)
-            | `Sample ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":{\"%s\":%g}}"
-                     (escape e.name) dom (us e.ts) (escape e.name) e.value))
+                counter dom e t
+            | `Sample -> counter dom e e.value)
           evs)
       streams;
-    Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
-    Buffer.add_string b
-      (String.concat ","
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
-            (("tool", "hca") :: meta)));
-    Buffer.add_string b "}}";
+    Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":";
+    add_string_obj b (("tool", "hca") :: meta);
+    Buffer.add_char b '}';
     Buffer.contents b
 
   let to_chrome_json ?meta () =

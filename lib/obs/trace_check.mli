@@ -1,19 +1,7 @@
 (** Validation of the Chrome trace-event JSON {!Obs.Trace} emits, used
-    by the [hca tracecheck] CLI and the test suite.  The parser is a
-    small self-contained JSON reader (no external dependency), general
-    enough for any trace-event file, not just our own output. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse : string -> (json, string) result
-(** Full JSON parser (objects, arrays, strings with escapes, numbers,
-    booleans, null).  Errors carry a character offset. *)
+    by the [hca tracecheck] CLI and the test suite.  The file is read
+    with {!Hca_util.Json}, and the checks hold for any trace-event
+    file, not just our own output. *)
 
 type stats = {
   events : int;  (** total entries in ["traceEvents"] *)

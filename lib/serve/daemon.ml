@@ -1,3 +1,4 @@
+module Json = Hca_util.Json
 module Report = Hca_core.Report
 module Hierarchy = Hca_core.Hierarchy
 module Config = Hca_core.Config

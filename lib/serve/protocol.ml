@@ -1,3 +1,5 @@
+module Json = Hca_util.Json
+
 type source =
   | Named of string
   | Inline of string

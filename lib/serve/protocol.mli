@@ -124,5 +124,5 @@ val request_of_line : string -> (request, string) result
 val error_response : string -> string
 (** [{"ok":false,"error":...}] — already newline-free. *)
 
-val ok_response : (string * Json.t) list -> string
+val ok_response : (string * Hca_util.Json.t) list -> string
 (** [{"ok":true, <fields>}]. *)

@@ -1,10 +1,10 @@
 (** Incremental FNV-1a signature hashing over machine words.
 
-    Used to fingerprint search states (placement + copy flow) for the
-    SEE's transposition dedup and to canonicalise subproblem memo keys.
-    A signature is a plain [int]: equal structures always hash equal,
-    so a hash mismatch proves two structures differ; a hash match is
-    confirmed by a structural comparison before anything is dropped. *)
+    Used to canonicalise subproblem memo keys, name inline kernels and
+    fingerprint search states in the property tests.  A signature is a
+    plain [int]: equal structures always hash equal, so a hash mismatch
+    proves two structures differ; a hash match proves nothing on its
+    own. *)
 
 type t
 

@@ -103,6 +103,50 @@ let test_random_3sat_vs_bruteforce () =
     Alcotest.check result "matches brute force" brute (Sat.solve s)
   done
 
+(* [~max_conflicts:max_int] means "no cap".  The budget is relative to
+   the conflicts already spent, so on a solver that has seen any it
+   once overflowed into a negative limit and answered [Unknown] at the
+   first conflict; it must saturate instead. *)
+let test_max_conflicts_unbounded () =
+  let prng = Hca_util.Prng.create 20261017 in
+  let nvars = 30 and nclauses = 125 in
+  let load clauses =
+    let s = Sat.create () in
+    for _ = 1 to nvars do
+      ignore (Sat.new_var s)
+    done;
+    List.iter (Sat.add_clause s) clauses;
+    s
+  in
+  (* Near the 3-SAT threshold: a satisfiable instance where a first
+     call stops at a 1-conflict cap and the uncapped rest of the search
+     still needs another conflict. *)
+  let rec pick tries =
+    if tries = 0 then Alcotest.fail "no instance needing two conflicts"
+    else
+      let clauses =
+        List.init nclauses (fun _ ->
+            List.init 3 (fun _ ->
+                let v = 1 + Hca_util.Prng.int prng nvars in
+                if Hca_util.Prng.bool prng then v else -v))
+      in
+      let s = load clauses in
+      if
+        Sat.solve ~max_conflicts:1 s = Sat.Unknown
+        &&
+        let spent = Sat.conflicts s in
+        Sat.solve s = Sat.Sat && Sat.conflicts s > spent
+      then clauses
+      else pick (tries - 1)
+  in
+  let s = load (pick 500) in
+  Alcotest.check result "capped first call" Sat.Unknown
+    (Sat.solve ~max_conflicts:1 s);
+  let spent = Sat.conflicts s in
+  Alcotest.check result "sat under max_int" Sat.Sat
+    (Sat.solve ~max_conflicts:max_int s);
+  Alcotest.(check bool) "took a conflict" true (Sat.conflicts s > spent)
+
 (* ------------------------------------------------------------------ *)
 (* Cardinality encoding.                                               *)
 (* ------------------------------------------------------------------ *)
@@ -580,6 +624,8 @@ let () =
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
           Alcotest.test_case "assumptions" `Quick test_assumptions_incremental;
           Alcotest.test_case "vs brute force" `Quick test_random_3sat_vs_bruteforce;
+          Alcotest.test_case "max_conflicts max_int" `Quick
+            test_max_conflicts_unbounded;
         ] );
       ( "cardinality",
         [

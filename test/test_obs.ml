@@ -211,13 +211,13 @@ let read_lines path =
   List.rev !lines
 
 let parse_json line =
-  match Hca_serve.Json.parse line with
+  match Hca_util.Json.parse line with
   | Ok j -> j
   | Error e -> Alcotest.failf "log line is not JSON %S: %s" line e
 
-let jfield j k = Hca_serve.Json.member k j
+let jfield j k = Hca_util.Json.member k j
 
-let jstr j k = Option.bind (jfield j k) Hca_serve.Json.str
+let jstr j k = Option.bind (jfield j k) Hca_util.Json.str
 
 let test_log_json_and_level_filter () =
   let path = tmp_file "log" in
@@ -252,19 +252,19 @@ let test_log_json_and_level_filter () =
   Alcotest.(check (option string)) "event name" (Some "keep.warn")
     (jstr w "event");
   Alcotest.(check (option int)) "request id" (Some 7)
-    (Option.bind (jfield w "req") Hca_serve.Json.int);
+    (Option.bind (jfield w "req") Hca_util.Json.int);
   Alcotest.(check (option string)) "string field" (Some "v") (jstr w "s");
   Alcotest.(check (option int)) "int field" (Some 42)
-    (Option.bind (jfield w "i") Hca_serve.Json.int);
+    (Option.bind (jfield w "i") Hca_util.Json.int);
   Alcotest.(check (option bool)) "bool field" (Some true)
-    (Option.bind (jfield w "b") Hca_serve.Json.bool);
+    (Option.bind (jfield w "b") Hca_util.Json.bool);
   Alcotest.(check (option (float 1e-9))) "float field" (Some 1.5)
-    (Option.bind (jfield w "f") Hca_serve.Json.num);
+    (Option.bind (jfield w "f") Hca_util.Json.num);
   Alcotest.(check (option string)) "error level" (Some "error")
     (jstr e "level");
   Alcotest.(check (option string)) "escapes survive the round-trip"
     (Some "boom \"quoted\"\n") (jstr e "why");
-  let ts j = Option.get (Option.bind (jfield j "ts") Hca_serve.Json.num) in
+  let ts j = Option.get (Option.bind (jfield j "ts") Hca_util.Json.num) in
   Alcotest.(check bool) "timestamps monotone" true (ts e >= ts w);
   Alcotest.(check bool) "level_of_string" true
     (Obs.Log.level_of_string "warning" = Some Obs.Log.Warn
@@ -348,18 +348,18 @@ let test_registry_quantile_and_exposition () =
                   Alcotest.failf "unparseable sample on %S" line)
         (String.split_on_char '\n' text);
       (* JSON exposition parses and carries the same figures. *)
-      match Hca_serve.Json.parse (Obs.Registry.to_json_string ()) with
+      match Hca_util.Json.parse (Obs.Registry.to_json_string ()) with
       | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e
       | Ok j ->
           let counters = Option.get (jfield j "counters") in
           Alcotest.(check (option int)) "counter in JSON" (Some 5)
             (Option.bind
-               (Hca_serve.Json.member {|r_hits{verb="submit"}|} counters)
-               Hca_serve.Json.int);
+               (Hca_util.Json.member {|r_hits{verb="submit"}|} counters)
+               Hca_util.Json.int);
           let hists = Option.get (jfield j "histograms") in
-          let h = Option.get (Hca_serve.Json.member "r_lat_ms" hists) in
+          let h = Option.get (Hca_util.Json.member "r_lat_ms" hists) in
           Alcotest.(check (option int)) "histogram count in JSON" (Some 100)
-            (Option.bind (jfield h "count") Hca_serve.Json.int))
+            (Option.bind (jfield h "count") Hca_util.Json.int))
 
 (* ------------------------------------------------------------------ *)
 (* Flight ring: bounded, always dumps a valid trace even after heavy   *)

@@ -1,4 +1,5 @@
-(* Unit and property tests for the utility library: Vec, Prng, Tabular. *)
+(* Unit and property tests for the utility library: Vec, Prng, Bitset,
+   Tabular and the Json codec. *)
 
 open Hca_util
 
@@ -213,6 +214,134 @@ let prop_prng_bounded =
       let x = Prng.int rng bound in
       x >= 0 && x < bound)
 
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_json_roundtrip () =
+  let cases =
+    [
+      {|null|};
+      {|true|};
+      {|42|};
+      {|-1.5|};
+      {|"a\"b\\c\nd"|};
+      {|[1,[2,3],{"k":null}]|};
+      {|{"a":1,"b":[true,false],"c":{"d":"e"}}|};
+    ]
+  in
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Error e -> Alcotest.failf "parse %s: %s" s e
+      | Ok j -> (
+          let printed = Json.to_string j in
+          match Json.parse printed with
+          | Error e -> Alcotest.failf "reparse %s: %s" printed e
+          | Ok j' ->
+              Alcotest.(check bool)
+                (Printf.sprintf "roundtrip %s" s)
+                true (j = j')))
+    cases
+
+let test_json_escapes () =
+  match Json.parse {|"A\té"|} with
+  | Ok (Json.Str s) -> Alcotest.(check string) "unicode escapes" "A\t\xc3\xa9" s
+  | Ok _ -> Alcotest.fail "expected a string"
+  | Error e -> Alcotest.fail e
+
+let test_json_errors () =
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "accepted malformed %S" s
+      | Error _ -> ())
+    [ ""; "{"; "[1,]"; {|{"a":}|}; "tru"; {|"unterminated|}; "1 2"; "{\"a\":1,}" ]
+
+(* Arbitrary values: strings are arbitrary bytes, biased toward the
+   ones the printer must escape or pass through (quote, backslash,
+   control bytes, DEL, UTF-8 lead bytes); numbers are finite, both
+   integral and fractional; arrays and objects nest. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, char);
+        (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\127'; '\195' ]);
+      ]
+  in
+  let bytes = string_size ~gen:byte (int_bound 12) in
+  let number = oneof [ map float_of_int int; float ] in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) number;
+               map (fun s -> Json.Str s) bytes;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map
+                   (fun l -> Json.Arr l)
+                   (list_size (int_bound 4) (self (n / 4))) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair bytes (self (n / 4)))) );
+             ])
+
+(* The printed text is also free of raw control bytes, which strict
+   parsers reject inside strings (and a newline would split an NDJSON
+   row). *)
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"Json.parse (Json.to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      let text = Json.to_string v in
+      Json.parse text = Ok v
+      && not (String.exists (fun c -> Char.code c < 0x20) text))
+
+(* Regression: NDJSON rows once escaped names with OCaml's %S, which
+   writes bytes >= 0x80 and control bytes as decimal escapes that no
+   JSON parser accepts. *)
+let test_dse_ndjson_names () =
+  let name = "w\xc3\xafde16\t" in
+  let p =
+    List.hd (Hca_gen.Dse.grid_points ~fanouts:[ [| 2; 2 |] ] ~caps:[ 2 ] ())
+  in
+  let desc =
+    Hca_machine.Machine_desc.with_tables ~name p.Hca_gen.Dse.desc
+      (Hca_machine.Machine_desc.tables p.Hca_gen.Dse.desc)
+  in
+  let r =
+    Hca_gen.Dse.run
+      ~kernels:[ ("fz3", Hca_gen.Gen.ddg ~seed:3 ()) ]
+      (Hca_gen.Dse.machine_points [ ("named", desc) ])
+  in
+  let rows =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (Hca_gen.Dse.to_ndjson r))
+  in
+  Alcotest.(check int) "one dse and one dse_points row" 2 (List.length rows);
+  List.iter
+    (fun line ->
+      match Json.parse line with
+      | Error e -> Alcotest.failf "row is not JSON (%s): %s" e line
+      | Ok j ->
+          Alcotest.(check (option string))
+            "machine name byte for byte" (Some name)
+            (Option.bind (Json.member "machine" j) Json.str))
+    rows
+
 let () =
   Alcotest.run "util"
     [
@@ -247,5 +376,13 @@ let () =
         [
           Alcotest.test_case "alignment" `Quick test_tabular_alignment;
           Alcotest.test_case "arity check" `Quick test_tabular_arity_check;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "errors" `Quick test_json_errors;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "dse ndjson names" `Quick test_dse_ndjson_names;
         ] );
     ]
