@@ -1,63 +1,165 @@
 open Hca_ddg
 
-(* Shared region-growing engine: [n] nodes, [free] membership mask,
-   pairwise affinities, criticality used to pick seeds. *)
-let grow_regions ?(min_affinity = 2) ~n ~free ~affinity ~criticality ~capacity () =
-  let aff a b =
-    Option.value ~default:0 (Hashtbl.find_opt affinity (min a b, max a b))
+(* A region stops growing once its best candidate's affinity to the
+   region falls below this: a single broadcast edge (weight 1) is not
+   reason enough to co-locate. *)
+let min_affinity = 2
+
+(* Affinity graph in CSR form: the neighbours of [a] are
+   [adj.(start.(a)) .. adj.(start.(a + 1) - 1)], with the summed pair
+   weight alongside in [wt]. *)
+type graph = { start : int array; adj : int array; wt : int array }
+
+(* [pairs f] calls [f a b w] once per affinity contribution between two
+   distinct nodes; it is walked twice (degrees, then fill) and repeated
+   pairs are merged into one entry carrying the weight sum. *)
+let build_graph n pairs =
+  let start = Array.make (n + 1) 0 in
+  pairs (fun a b _ ->
+      start.(a + 1) <- start.(a + 1) + 1;
+      start.(b + 1) <- start.(b + 1) + 1);
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let adj = Array.make start.(n) 0 and wt = Array.make start.(n) 0 in
+  let next = Array.sub start 0 n in
+  let add a b w =
+    adj.(next.(a)) <- b;
+    wt.(next.(a)) <- w;
+    next.(a) <- next.(a) + 1
   in
-  let neighbors = Array.make n [] in
-  Hashtbl.iter
-    (fun (a, b) _ ->
-      neighbors.(a) <- b :: neighbors.(a);
-      neighbors.(b) <- a :: neighbors.(b))
-    affinity;
-  let region = Array.make n (-1) in
-  let order =
-    List.init n (fun i -> i)
-    |> List.filter (fun i -> free.(i))
-    |> List.sort (fun a b ->
-           compare (-criticality.(a), a) (-criticality.(b), b))
-  in
-  let next_region = ref 0 in
-  let grow seed =
-    let r = !next_region in
-    incr next_region;
-    region.(seed) <- r;
-    let members = ref [ seed ] in
-    let size = ref 1 in
-    let continue = ref true in
-    while !continue && !size < capacity do
-      (* Best unassigned node by affinity to the region; the frontier is
-         small (regions are cluster-sized), so a scan over the members'
-         neighbourhoods is cheap. *)
-      let best = ref (-1) and best_aff = ref 0 in
-      List.iter
-        (fun m ->
-          List.iter
-            (fun cand ->
-              if region.(cand) = -1 && free.(cand) then begin
-                let a =
-                  List.fold_left (fun acc m' -> acc + aff cand m') 0 !members
-                in
-                if a > !best_aff || (a = !best_aff && !best >= 0 && cand < !best)
-                then begin
-                  best := cand;
-                  best_aff := a
-                end
-              end)
-            neighbors.(m))
-        !members;
-      if !best >= 0 && !best_aff >= min_affinity then begin
-        region.(!best) <- r;
-        members := !best :: !members;
-        incr size
+  pairs (fun a b w ->
+      add a b w;
+      add b a w);
+  (* Merge repeated neighbours in place; [slot.(b)] is where [b] already
+     sits in the row being compacted (stale from earlier rows if below
+     the row's new start). *)
+  let slot = Array.make n (-1) in
+  let out = ref 0 in
+  for a = 0 to n - 1 do
+    let lo = start.(a) and hi = start.(a + 1) in
+    start.(a) <- !out;
+    for k = lo to hi - 1 do
+      let b = adj.(k) in
+      if slot.(b) >= start.(a) then wt.(slot.(b)) <- wt.(slot.(b)) + wt.(k)
+      else begin
+        slot.(b) <- !out;
+        adj.(!out) <- b;
+        wt.(!out) <- wt.(k);
+        incr out
       end
-      else continue := false
+    done
+  done;
+  start.(n) <- !out;
+  { start; adj; wt }
+
+(* Shared region-growing engine over [n] nodes, of which [free] ones get
+   a region.  Seeds are taken by decreasing [criticality] (id
+   tie-break); a region repeatedly absorbs the unassigned node with the
+   largest affinity to its members (smallest id on ties) while that
+   affinity is at least [min_affinity] and the region is below
+   [capacity].
+
+   [gain.(v)] holds v's affinity to the region being grown, raised
+   edge by edge as members join.  Candidates live in a max-heap of
+   packed (gain, id) keys; a key is stale once its node is placed or its
+   gain has grown since the push, and is skipped on pop.  Every node
+   joins one region, so each CSR entry is relaxed at most once over the
+   whole call: O((n + E) log E) in total. *)
+let grow_regions ~n ~free ~graph ~criticality ~capacity =
+  let { start; adj; wt } = graph in
+  let region = Array.make n (-1) in
+  let seeds = Array.of_list (List.filter (fun i -> free.(i)) (List.init n Fun.id)) in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare criticality.(b) criticality.(a) in
+      if c <> 0 then c else Int.compare a b)
+    seeds;
+  let gain = Array.make n 0 in
+  let touched = Array.make n 0 and n_touched = ref 0 in
+  (* Larger key = better candidate: gain first, then the smaller id. *)
+  let key v = (gain.(v) * n) + (n - 1 - v) in
+  let heap = Array.make (max 1 (Array.length adj)) 0 and size = ref 0 in
+  let push k =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) < k do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- k
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let k = heap.(!size) and i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= !size then sifting := false
+      else begin
+        let c = if l + 1 < !size && heap.(l + 1) > heap.(l) then l + 1 else l in
+        if heap.(c) > k then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    heap.(!i) <- k;
+    top
+  in
+  (* Best live candidate, or -1 when the frontier is exhausted. *)
+  let rec best () =
+    if !size = 0 then -1
+    else
+      let k = pop () in
+      let v = n - 1 - (k mod n) in
+      if region.(v) < 0 && key v = k then v else best ()
+  in
+  let absorb r v =
+    region.(v) <- r;
+    for i = start.(v) to start.(v + 1) - 1 do
+      let u = adj.(i) in
+      if region.(u) < 0 then begin
+        if gain.(u) = 0 then begin
+          touched.(!n_touched) <- u;
+          incr n_touched
+        end;
+        gain.(u) <- gain.(u) + wt.(i);
+        push (key u)
+      end
     done
   in
-  List.iter (fun seed -> if region.(seed) = -1 then grow seed) order;
+  let next_region = ref 0 in
+  Array.iter
+    (fun seed ->
+      if region.(seed) < 0 then begin
+        let r = !next_region in
+        incr next_region;
+        absorb r seed;
+        let members = ref 1 and growing = ref true in
+        while !growing && !members < capacity do
+          let v = best () in
+          if v >= 0 && gain.(v) >= min_affinity then begin
+            absorb r v;
+            incr members
+          end
+          else growing := false
+        done;
+        for i = 0 to !n_touched - 1 do
+          gain.(touched.(i)) <- 0
+        done;
+        n_touched := 0;
+        size := 0
+      end)
+    seeds;
   region
+
+(* Weight of a plain dependence out of a producer with [fanout] uses.
+   Broadcast producers (constants, shared inductions) link every
+   consumer to every other; discounting their edges by fan-out keeps
+   them from welding unrelated regions together. *)
+let broadcast_weight fanout = if fanout >= 6 then 1 else max 2 (8 / (1 + fanout))
 
 let is_out_port problem id =
   let nd = Problem.node problem id in
@@ -67,6 +169,24 @@ let is_in_port problem id =
   let nd = Problem.node problem id in
   nd.Problem.pinned <> None && Problem.preds problem id = []
 
+(* Consumers of each value an input port delivers, one deduplicated
+   group per value, from the port's (value, consumer) pairs. *)
+let consumers_by_value (pairs : (int * int) list) =
+  let sorted =
+    List.sort_uniq
+      (fun (v, a) (v', a') ->
+        let c = Int.compare v v' in
+        if c <> 0 then c else Int.compare a a')
+      pairs
+  in
+  List.fold_right
+    (fun (v, a) groups ->
+      match groups with
+      | (v', g) :: rest when v' = v -> (v, a :: g) :: rest
+      | _ -> (v, [ a ]) :: groups)
+    sorted []
+  |> List.map snd
+
 let partition problem ~capacity =
   if capacity < 1 then invalid_arg "Regions.partition: capacity must be >= 1";
   let n = Problem.size problem in
@@ -74,68 +194,58 @@ let partition problem ~capacity =
   Array.iter
     (fun (nd : Problem.node) -> free.(nd.Problem.id) <- nd.Problem.pinned = None)
     (Problem.nodes problem);
-  let affinity = Hashtbl.create (4 * n) in
-  let bump a b w =
-    if a <> b && free.(a) && free.(b) then begin
-      let key = (min a b, max a b) in
-      Hashtbl.replace affinity key
-        (w + Option.value ~default:0 (Hashtbl.find_opt affinity key))
-    end
-  in
-  (* Broadcast producers (constants, shared inductions) link every
-     consumer to every other; discounting their edges by fan-out keeps
-     them from welding unrelated regions together. *)
+  let edges = Problem.edges problem in
   let fanout = Array.make n 0 in
   Array.iter
     (fun (e : Problem.edge) -> fanout.(e.src) <- fanout.(e.src) + 1)
-    (Problem.edges problem);
-  let edge_weight f = if f >= 6 then 1 else max 2 (8 / (1 + f)) in
+    edges;
   let scc = Problem.scc_of problem in
-  Array.iter
-    (fun (e : Problem.edge) ->
-      (* Any edge inside a recurrence circuit: tearing it across
-         clusters stretches the circuit by the copy latency and inflates
-         MIIRec, so circuit members stick hard. *)
-      let w =
-        if
-          e.Problem.distance > 0
-          || (scc.(e.src) >= 0 && scc.(e.src) = scc.(e.dst))
-        then 10
-        else edge_weight fanout.(e.src)
-      in
-      bump e.src e.dst w)
-    (Problem.edges problem);
-  (* Co-location pressure through the ports. *)
+  (* Co-location pressure through the ports, as cliques of free nodes
+     with a per-pair weight.  Feeders of one output port must share a
+     cluster (6 each way); consumers of the same value delivered by an
+     input port share one copy slot (1 each way). *)
+  let cliques = ref [] in
+  let clique w members =
+    cliques := (w, Array.of_list (List.filter (fun a -> free.(a)) members)) :: !cliques
+  in
   for id = 0 to n - 1 do
-    if is_out_port problem id then begin
-      let feeders =
-        List.map (fun (e : Problem.edge) -> e.src) (Problem.preds problem id)
-        |> List.sort_uniq compare
-      in
-      List.iter
-        (fun a -> List.iter (fun b -> bump a b 6) feeders)
-        feeders
-    end
-    else if is_in_port problem id then begin
-      (* Consumers of the same delivered value share one copy slot. *)
-      let by_value = Hashtbl.create 8 in
-      List.iter
-        (fun (e : Problem.edge) ->
-          Hashtbl.replace by_value e.Problem.value
-            (e.Problem.dst
-            :: Option.value ~default:[] (Hashtbl.find_opt by_value e.Problem.value)))
-        (Problem.succs problem id);
-      Hashtbl.iter
-        (fun _ consumers ->
-          let consumers = List.sort_uniq compare consumers in
-          List.iter
-            (fun a -> List.iter (fun b -> bump a b 1) consumers)
-            consumers)
-        by_value
-    end
+    if is_out_port problem id then
+      clique 12
+        (List.sort_uniq Int.compare
+           (List.map (fun (e : Problem.edge) -> e.src) (Problem.preds problem id)))
+    else if is_in_port problem id then
+      List.iter (clique 2)
+        (consumers_by_value
+           (List.map
+              (fun (e : Problem.edge) -> (e.Problem.value, e.Problem.dst))
+              (Problem.succs problem id)))
   done;
-  grow_regions ~n ~free ~affinity ~criticality:(Problem.height problem)
-    ~capacity ()
+  let pairs f =
+    Array.iter
+      (fun (e : Problem.edge) ->
+        if e.src <> e.dst && free.(e.src) && free.(e.dst) then
+          (* Any edge inside a recurrence circuit: tearing it across
+             clusters stretches the circuit by the copy latency and
+             inflates MIIRec, so circuit members stick hard. *)
+          f e.src e.dst
+            (if
+               e.Problem.distance > 0
+               || (scc.(e.src) >= 0 && scc.(e.src) = scc.(e.dst))
+             then 10
+             else broadcast_weight fanout.(e.src)))
+      edges;
+    List.iter
+      (fun (w, members) ->
+        let k = Array.length members in
+        for i = 0 to k - 1 do
+          for j = i + 1 to k - 1 do
+            f members.(i) members.(j) w
+          done
+        done)
+      !cliques
+  in
+  grow_regions ~n ~free ~graph:(build_graph n pairs)
+    ~criticality:(Problem.height problem) ~capacity
 
 let partition_ddg ddg ~members ~capacity =
   if capacity < 1 then
@@ -145,22 +255,16 @@ let partition_ddg ddg ~members ~capacity =
   List.iter (fun g -> free.(g) <- true) members;
   let fanout = Array.make n 0 in
   Ddg.iter_edges (fun e -> fanout.(e.src) <- fanout.(e.src) + 1) ddg;
-  let affinity = Hashtbl.create (4 * n) in
-  Ddg.iter_edges
-    (fun e ->
-      if e.src <> e.dst && free.(e.src) && free.(e.dst) then begin
-        let key = (min e.src e.dst, max e.src e.dst) in
-        let w =
-          if e.distance > 0 then 10
-          else if fanout.(e.src) >= 6 then 1
-          else max 2 (8 / (1 + fanout.(e.src)))
-        in
-        Hashtbl.replace affinity key
-          (w + Option.value ~default:0 (Hashtbl.find_opt affinity key))
-      end)
-    ddg;
+  let pairs f =
+    Ddg.iter_edges
+      (fun e ->
+        if e.src <> e.dst && free.(e.src) && free.(e.dst) then
+          f e.src e.dst
+            (if e.distance > 0 then 10 else broadcast_weight fanout.(e.src)))
+      ddg
+  in
   let region =
-    grow_regions ~n ~free ~affinity ~criticality:(Graph_algo.height ddg)
-      ~capacity ()
+    grow_regions ~n ~free ~graph:(build_graph n pairs)
+      ~criticality:(Graph_algo.height ddg) ~capacity
   in
   fun g -> if g >= 0 && g < n then region.(g) else -1

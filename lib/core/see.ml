@@ -23,9 +23,25 @@ let out_port_group problem id =
     max_int
     (Problem.succs problem id)
 
+(* [free] sorted by the per-node int [keys], compared in turn, then by
+   id. *)
+let sort_by keys free =
+  let rec cmp a b = function
+    | [] -> Int.compare a b
+    | k :: ks ->
+        let c = Int.compare k.(a) k.(b) in
+        if c <> 0 then c else cmp a b ks
+  in
+  List.stable_sort (fun a b -> cmp a b keys) free
+
 let priority_order config problem ~ii =
   let free = Problem.free_nodes problem in
-  let group = out_port_group problem in
+  let group () =
+    let g = Array.make (Problem.size problem) max_int in
+    List.iter (fun id -> g.(id) <- out_port_group problem id) free;
+    g
+  in
+  let neg_height () = Array.map (fun h -> -h) (Problem.height problem) in
   match config.Config.priority with
   | Config.Affinity ->
       let capacity =
@@ -35,23 +51,21 @@ let priority_order config problem ~ii =
         | nd :: _ -> max 1 (Hca_machine.Resource.issue_slots nd.capacity * ii)
       in
       let region = Regions.partition problem ~capacity in
-      let h = Problem.height problem in
-      let key id = (region.(id), group id, -h.(id), id) in
-      (List.stable_sort (fun a b -> compare (key a) (key b)) free, Some region)
+      (sort_by [ region; group (); neg_height () ] free, Some region)
   | Config.Source_order -> (free, None)
   | Config.Topological ->
       (* Producers before consumers: ASAP cycle ascending, id tie-break. *)
-      let d = Problem.depth problem in
-      (List.stable_sort (fun a b -> compare (d.(a), a) (d.(b), b)) free, None)
+      (sort_by [ Problem.depth problem ] free, None)
   | Config.Criticality ->
-      let h = Problem.height problem in
       (* Port feeders first (per port), then most critical first; ties:
          more demanding node first, then id. *)
-      let key id =
-        let nd = Problem.node problem id in
-        (group id, -h.(id), -(nd.Problem.demand.alus + nd.Problem.demand.ags), id)
+      let neg_demand =
+        Array.map
+          (fun (nd : Problem.node) ->
+            -(nd.Problem.demand.alus + nd.Problem.demand.ags))
+          (Problem.nodes problem)
       in
-      (List.stable_sort (fun a b -> compare (key a) (key b)) free, None)
+      (sort_by [ group (); neg_height (); neg_demand ] free, None)
 
 let candidate_clusters problem =
   Hca_machine.Pattern_graph.regular_nodes (Problem.pg problem)
@@ -84,12 +98,11 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
         let arr = Array.of_list order in
         let n = Array.length arr in
         let rem = Array.make n 0 in
-        let counts = Hashtbl.create 16 in
+        let counts = Array.make (Array.length region) 0 in
         for i = n - 1 downto 0 do
           let r = region.(arr.(i)) in
-          let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts r) in
-          Hashtbl.replace counts r c;
-          rem.(i) <- c
+          counts.(r) <- counts.(r) + 1;
+          rem.(i) <- counts.(r)
         done;
         rem
   in
@@ -110,9 +123,10 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
   in
   let expand ~tail_of_region node state =
     (* One pass over the state's flat arrays scores every candidate
-       cluster (tear penalty included), with no per-candidate
-       allocation; the candidate-width cut happens inside the batch, so
-       only the winners pay a [Spec] record.  Scores are bit-identical
+       cluster (tear penalty included), reusing one speculation arena
+       (it still allocates about 12 words per candidate slot, see
+       {!State.score_moves}); the candidate-width cut happens inside
+       the batch, so only the winners pay a [Spec] record.  Scores are bit-identical
        to the speculate/penalise/undo loop this replaces (property
        tested), and ties keep the cluster order, so the cut picks the
        same winners. *)

@@ -94,7 +94,11 @@ val score_moves :
     each score is bit-identical to a
     {!speculate_assign}/penalty/{!cost}/{!undo_speculation} probe of
     the same move (property tested: the scoring arithmetic is shared,
-    not duplicated).
+    not duplicated).  It is not allocation-free: metered with
+    [Gc.minor_words] on the perfbench [compile] gated set (one pass,
+    14 kernels), 252,317 calls scoring 2,018,536 candidate slots
+    allocated 181.6 MB, about 12 words per candidate slot (94 per
+    call), a tenth of the pass's 1.7 GB.
     @raise Invalid_argument when a speculation is in flight or [node]
     is already assigned. *)
 

@@ -509,6 +509,12 @@ let handle_line t line =
           Log.info "daemon.shutdown" [ ("via", Log.S "verb") ];
           Shutdown_after (Protocol.ok_response [ ("stopping", Json.Bool true) ]))
 
+let handle_input t = function
+  | Protocol.Request line -> handle_line t line
+  | Protocol.Oversized ->
+      Registry.inc "hca_protocol_errors_total";
+      Line Protocol.oversized_response
+
 (* ------------------------------------------------------------------ *)
 (* stdio transport                                                     *)
 
@@ -532,20 +538,28 @@ let run_stdio ?(jobs = 1) ?store_path ?stamp ?telemetry () =
     print_newline ();
     flush stdout
   in
-  let rec loop () =
-    match input_line stdin with
-    | exception End_of_file -> ()
-    | line -> (
-        match handle_line t line with
+  (* Answer each input in turn; [false] once a shutdown was answered. *)
+  let rec serve = function
+    | [] -> true
+    | input :: rest -> (
+        match handle_input t input with
         | Line s ->
             say s;
-            loop ()
+            serve rest
         | Wait_for id ->
             ignore (Jobq.wait t.q id);
             say (result_line t id);
-            loop ()
+            serve rest
         | Shutdown_after s ->
-            say s)
+            say s;
+            false)
+  in
+  let reader = Protocol.line_reader () in
+  let buf = Bytes.create 65536 in
+  let rec loop () =
+    match input stdin buf 0 (Bytes.length buf) with
+    | 0 -> ignore (serve (Protocol.finish reader))
+    | n -> if serve (Protocol.feed reader buf 0 n) then loop ()
   in
   loop ();
   finalise t pool
@@ -558,34 +572,12 @@ let run_stdio ?(jobs = 1) ?store_path ?stamp ?telemetry () =
 
 type conn = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  reader : Protocol.line_reader;
   mutable outbuf : string;  (* bytes accepted but not yet written *)
   mutable waiting : int list;  (* job ids owed a deferred result line *)
 }
 
 let append_line conn s = conn.outbuf <- conn.outbuf ^ s ^ "\n"
-
-(* Split off every complete line; the tail stays buffered. *)
-let take_lines conn =
-  let s = Buffer.contents conn.inbuf in
-  Buffer.clear conn.inbuf;
-  let n = String.length s in
-  let lines = ref [] in
-  let start = ref 0 in
-  for i = 0 to n - 1 do
-    if s.[i] = '\n' then begin
-      let raw = String.sub s !start (i - !start) in
-      let raw =
-        if raw <> "" && raw.[String.length raw - 1] = '\r' then
-          String.sub raw 0 (String.length raw - 1)
-        else raw
-      in
-      lines := raw :: !lines;
-      start := i + 1
-    end
-  done;
-  if !start < n then Buffer.add_substring conn.inbuf s !start (n - !start);
-  List.rev !lines
 
 let run_socket ~path ?jobs ?store_path ?stamp ?trace ?telemetry () =
   let jobs =
@@ -640,8 +632,8 @@ let run_socket ~path ?jobs ?store_path ?stamp ?trace ?telemetry () =
     conn.waiting <- still;
     List.iter (fun id -> append_line conn (result_line t id)) ready
   in
-  let handle conn line =
-    match handle_line t line with
+  let handle conn input =
+    match handle_input t input with
     | Line s -> append_line conn s
     | Wait_for id -> conn.waiting <- conn.waiting @ [ id ]
     | Shutdown_after s ->
@@ -653,8 +645,7 @@ let run_socket ~path ?jobs ?store_path ?stamp ?trace ?telemetry () =
     match Unix.read conn.fd read_buf 0 (Bytes.length read_buf) with
     | 0 -> drop conn
     | n ->
-        Buffer.add_subbytes conn.inbuf read_buf 0 n;
-        List.iter (handle conn) (take_lines conn)
+        List.iter (handle conn) (Protocol.feed conn.reader read_buf 0 n)
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop conn
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   in
@@ -691,7 +682,12 @@ let run_socket ~path ?jobs ?store_path ?stamp ?trace ?telemetry () =
           match Unix.accept listen_fd with
           | fd, _ ->
               conns :=
-                { fd; inbuf = Buffer.create 256; outbuf = ""; waiting = [] }
+                {
+                  fd;
+                  reader = Protocol.line_reader ();
+                  outbuf = "";
+                  waiting = [];
+                }
                 :: !conns;
               Log.debug "conn.accept" [ ("open", Log.I (List.length !conns)) ]
           | exception Unix.Unix_error _ -> ()

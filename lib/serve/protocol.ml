@@ -146,3 +146,52 @@ let error_response msg =
 
 let ok_response fields =
   Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
+
+(* ------------------------------------------------------------------ *)
+(* Line framing                                                        *)
+
+let max_line = 1 lsl 20
+
+type input = Request of string | Oversized
+
+type line_reader = { pending : Buffer.t; mutable skipping : bool }
+
+let line_reader () = { pending = Buffer.create 256; skipping = false }
+
+let strip_cr s =
+  let n = String.length s in
+  if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
+
+let feed r b off len =
+  let inputs = ref [] in
+  let from = ref off in
+  (* Move [b[!from, upto)] onto the pending line, or drop the line for
+     good once it outgrows [max_line]. *)
+  let take upto =
+    if not r.skipping then
+      if Buffer.length r.pending + (upto - !from) > max_line then begin
+        Buffer.reset r.pending;
+        r.skipping <- true;
+        inputs := Oversized :: !inputs
+      end
+      else Buffer.add_subbytes r.pending b !from (upto - !from)
+  in
+  for i = off to off + len - 1 do
+    if Bytes.get b i = '\n' then begin
+      take i;
+      if r.skipping then r.skipping <- false
+      else inputs := Request (strip_cr (Buffer.contents r.pending)) :: !inputs;
+      Buffer.clear r.pending;
+      from := i + 1
+    end
+  done;
+  take (off + len);
+  List.rev !inputs
+
+let finish r =
+  let tail = Buffer.contents r.pending in
+  Buffer.clear r.pending;
+  if r.skipping || tail = "" then [] else [ Request (strip_cr tail) ]
+
+let oversized_response =
+  error_response (Printf.sprintf "request line longer than %d bytes" max_line)

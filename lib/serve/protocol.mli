@@ -126,3 +126,36 @@ val error_response : string -> string
 
 val ok_response : (string * Hca_util.Json.t) list -> string
 (** [{"ok":true, <fields>}]. *)
+
+(** {1 Line framing}
+
+    Both transports cut their byte stream into request lines through a
+    {!line_reader}, which looks at each byte once and never holds more
+    than {!max_line} bytes of one line. *)
+
+val max_line : int
+(** Longest request line accepted, in bytes, not counting the newline:
+    1 MiB, against 7.8 KB for the DDG text of the largest registry
+    kernel. *)
+
+type input =
+  | Request of string  (** one complete line, trailing ['\r'] stripped *)
+  | Oversized
+      (** a line outgrew {!max_line}: reported once, as soon as it
+          does; the rest of it, up to its newline, is discarded *)
+
+type line_reader
+
+val line_reader : unit -> line_reader
+
+val feed : line_reader -> Bytes.t -> int -> int -> input list
+(** [feed r buf off len] consumes [buf[off, off+len)], the bytes that
+    just arrived, and returns the inputs they complete, in order; an
+    unterminated tail stays pending in [r]. *)
+
+val finish : line_reader -> input list
+(** End of stream: the pending unterminated line, if any, as a final
+    request (a discarded over-long line yields nothing). *)
+
+val oversized_response : string
+(** The error answered to {!Oversized}. *)

@@ -372,6 +372,61 @@ let test_regions_separate_columns () =
   Alcotest.(check int) "chain 1 together" region.(a1) region.(c1);
   Alcotest.(check bool) "chains apart" true (region.(a0) <> region.(a1))
 
+(* The incremental-gain engine against the reference (per-step rescan)
+   engine, on the subproblems real HCA passes build: every level's
+   problem with its ILI ports, and the Working Set the Mapper colours
+   with [partition_ddg]. *)
+let region_oracle_kernels () =
+  let gen =
+    List.map
+      (fun (seed, max_size) ->
+        let knobs =
+          { Hca_gen.Gen.default_ddg_knobs with min_size = 10; max_size }
+        in
+        (Printf.sprintf "gen%d" seed, Hca_gen.Gen.ddg ~knobs ~seed ()))
+      [ (1, 10); (2, 40); (3, 80); (4, 120); (10, 160); (8, 200) ]
+  in
+  List.map (fun (name, f) -> (name, f ())) Hca_kernels.Registry.all @ gen
+
+let test_regions_match_reference () =
+  List.iter
+    (fun (name, ddg) ->
+      let report = Report.run Dspfabric.reference ddg in
+      let res =
+        match report.Report.result with
+        | Some res -> res
+        | None -> Alcotest.failf "%s: no legal pass" name
+      in
+      List.iter
+        (fun (sub : Hierarchy.subresult) ->
+          let p = sub.Hierarchy.problem in
+          let n = Problem.size p in
+          let ws =
+            Array.to_list (Problem.nodes p)
+            |> List.filter_map (fun (nd : Problem.node) -> nd.Problem.global)
+          in
+          let g = Ddg.size ddg in
+          List.iter
+            (fun capacity ->
+              let label =
+                Printf.sprintf "%s path [%s] capacity %d" name
+                  (String.concat ";" (List.map string_of_int sub.Hierarchy.path))
+                  capacity
+              in
+              Alcotest.(check (array int))
+                (label ^ " partition")
+                (Regions_ref.partition p ~capacity)
+                (Regions.partition p ~capacity);
+              let fast = Regions.partition_ddg ddg ~members:ws ~capacity in
+              let slow = Regions_ref.partition_ddg ddg ~members:ws ~capacity in
+              Alcotest.(check (list int))
+                (label ^ " partition_ddg")
+                (List.init (g + 2) (fun i -> slow (i - 1)))
+                (List.init (g + 2) (fun i -> fast (i - 1))))
+            [ 1; 2; 4; 8; 32; n + 1; g + 1 ])
+        (Hierarchy.subresults res))
+    (region_oracle_kernels ())
+
 (* --- mapper / ili ------------------------------------------------------- *)
 
 let solved_diamond () =
@@ -742,6 +797,8 @@ let () =
           Alcotest.test_case "coverage" `Quick test_regions_cover_free_nodes;
           Alcotest.test_case "capacity" `Quick test_regions_capacity;
           Alcotest.test_case "separation" `Quick test_regions_separate_columns;
+          Alcotest.test_case "match reference engine" `Quick
+            test_regions_match_reference;
         ] );
       ( "mapper",
         [

@@ -96,6 +96,43 @@ let test_protocol_rejects () =
     {|{"verb":"submit","kernel":"a","machine":{"n":8,"m":8,"k":8},"machine_desc":"machine x\n"}|};
   expect_error {|{"verb":"submit","kernel":"a","machine_desc":42}|}
 
+(* Byte-at-a-time framing agrees with whole-buffer framing, lines may
+   straddle reads, a line of exactly [max_line] bytes is served and one
+   byte more is refused once, without losing the next line. *)
+let test_protocol_line_framing () =
+  let feed_all chunks =
+    let r = Protocol.line_reader () in
+    let got =
+      List.concat_map
+        (fun c -> Protocol.feed r (Bytes.of_string c) 0 (String.length c))
+        chunks
+    in
+    got @ Protocol.finish r
+  in
+  let show =
+    List.map (function
+      | Protocol.Request l -> "R:" ^ l
+      | Protocol.Oversized -> "OVERSIZED")
+  in
+  let text = "ab\r\n\ncd\nef" in
+  Alcotest.(check (list string))
+    "whole" [ "R:ab"; "R:"; "R:cd"; "R:ef" ]
+    (show (feed_all [ text ]));
+  Alcotest.(check (list string))
+    "bytewise" [ "R:ab"; "R:"; "R:cd"; "R:ef" ]
+    (show (feed_all (List.init (String.length text) (fun i -> String.make 1 text.[i]))));
+  let at_cap = String.make Protocol.max_line 'x' in
+  (match feed_all [ at_cap ^ "\n" ] with
+  | [ Protocol.Request l ] ->
+      Alcotest.(check int) "max_line served" Protocol.max_line (String.length l)
+  | _ -> Alcotest.fail "a max_line-byte line must be served");
+  Alcotest.(check (list string))
+    "one over" [ "OVERSIZED"; "R:next" ]
+    (show (feed_all [ at_cap; "y"; String.make 5000 'z' ^ "\nnext\n" ]));
+  Alcotest.(check (list string))
+    "unterminated over-long tail" [ "OVERSIZED" ]
+    (show (feed_all [ at_cap ^ "yy" ]))
+
 (* ------------------------------------------------------------------ *)
 (* Job queue                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -614,6 +651,38 @@ let test_stats_telemetry_fields () =
       Alcotest.(check int) "trace_files" 0 (jint st "trace_files");
       Alcotest.(check int) "flight_dumps" 0 (jint st "flight_dumps"))
 
+(* A 2 MiB request line over a real socket: one protocol error, and the
+   next request on the same connection is still served. *)
+let test_socket_oversized_line () =
+  let path = tmp_store "oversized" ^ ".sock" in
+  let server = Domain.spawn (fun () -> Daemon.run_socket ~path ~jobs:1 ()) in
+  let rec connect tries =
+    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+    match Unix.connect fd (ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.05;
+        connect (tries - 1)
+  in
+  let fd = connect 100 in
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let send line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc
+  in
+  send (String.make (2 lsl 20) 'x');
+  send {|{"verb":"ping"}|};
+  Alcotest.(check bool) "over-long line refused" true
+    (contains ~sub:"longer than" (jstr (err_json (input_line ic)) "error"));
+  Alcotest.(check (option bool)) "next request served" (Some true)
+    (Option.bind (Json.member "pong" (ok_json (input_line ic))) Json.bool);
+  send {|{"verb":"shutdown"}|};
+  ignore (input_line ic);
+  Domain.join server;
+  close_in_noerr ic
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -626,6 +695,7 @@ let () =
           Alcotest.test_case "submit machine_desc" `Quick
             test_protocol_submit_machine_desc;
           Alcotest.test_case "rejects" `Quick test_protocol_rejects;
+          Alcotest.test_case "line framing" `Quick test_protocol_line_framing;
         ] );
       ( "jobq",
         [
@@ -651,6 +721,8 @@ let () =
             test_daemon_inline_content_named;
           Alcotest.test_case "inline machine description" `Quick
             test_daemon_machine_desc;
+          Alcotest.test_case "socket over-long line" `Quick
+            test_socket_oversized_line;
         ] );
       ( "store",
         [
