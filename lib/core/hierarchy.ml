@@ -71,20 +71,46 @@ type entry = {
 }
 
 (* Lock-striped so concurrent II probes ([Report.run ~jobs]) can share
-   one cache: keys embed the II, so probes never race on the same key —
-   the stripes only serialise physical table access. *)
-type cache = (Mutex.t * (key, entry) Hashtbl.t) array
+   one table: subproblem keys embed the II, so probes never race on the
+   same key — the stripes only serialise physical table access. *)
+type 'v table = (Mutex.t * (key, 'v) Hashtbl.t) array
+
+(* {2 Set-level SEE outcomes}
+
+   A set level searches at [see_ii = max floor_ii (ii * 4 / 5)], so
+   consecutive IIs of the climb (5/6, 10/11, ..., and every II where
+   [floor_ii] dominates) hand the SEE the very same search.  The
+   subproblem entry cannot serve them — the Mapper ([wire_cap], region
+   colouring) and the children depend on [ii] — so [sees] keeps the SEE
+   outcome alone, keyed by the subproblem key with [k_ii = see_ii].
+   Leaves are never stored: their window is [ii] itself, which the
+   subproblem table already covers.
+
+   A hit replays the stored outcome's explored/routed into the totals
+   exactly as the miss did, so every aggregate stays bit-identical to
+   a from-scratch run.  Entries are shared across domains as they are:
+   after [See.solve] returns, the Mapper, Metrics, Coherency and the
+   harvest only read its states ([State.placement]/[forwards]/[flow]),
+   so two II probes may commit the same outcome concurrently. *)
+type cache = {
+  subs : entry table;
+  sees : (See.outcome, string) result table;
+}
 
 let stripes = 16
 
-let create_cache () =
+let create_table () =
   Array.init stripes (fun _ -> (Mutex.create (), Hashtbl.create 64))
 
-let stripe_of (cache : cache) key = cache.(Hashtbl.hash key land (stripes - 1))
+let create_cache () = { subs = create_table (); sees = create_table () }
 
-(* A snapshot is the cache's payload without its mutexes: plain data end
-   to end (the solver's records hold no closures), so [Marshal] can ship
-   it to disk and a warm restart rebuilds an equivalent cache. *)
+let stripe_of (table : _ table) key =
+  table.(Hashtbl.hash key land (stripes - 1))
+
+(* A snapshot is the subproblem table without its mutexes: plain data
+   end to end (the solver's records hold no closures), so [Marshal] can
+   ship it to disk and a warm restart rebuilds an equivalent cache.
+   The SEE outcomes stay out: they only pay off within one climb. *)
 type snapshot = (key * entry) array
 
 let snapshot (cache : cache) : snapshot =
@@ -94,30 +120,30 @@ let snapshot (cache : cache) : snapshot =
       Mutex.lock m;
       Hashtbl.iter (fun k e -> acc := (k, e) :: !acc) tbl;
       Mutex.unlock m)
-    cache;
+    cache.subs;
   Array.of_list !acc
 
 let snapshot_length (s : snapshot) = Array.length s
 
 let cache_length (cache : cache) =
-  Array.fold_left (fun acc (_, tbl) -> acc + Hashtbl.length tbl) 0 cache
+  Array.fold_left (fun acc (_, tbl) -> acc + Hashtbl.length tbl) 0 cache.subs
 
-let cache_find cache key =
-  let m, tbl = stripe_of cache key in
+let table_find table key =
+  let m, tbl = stripe_of table key in
   Mutex.lock m;
   let r = Hashtbl.find_opt tbl key in
   Mutex.unlock m;
   r
 
-let cache_store cache key entry =
-  let m, tbl = stripe_of cache key in
+let table_store table key v =
+  let m, tbl = stripe_of table key in
   Mutex.lock m;
-  if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key entry;
+  if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key v;
   Mutex.unlock m
 
 let restore (s : snapshot) : cache =
   let cache = create_cache () in
-  Array.iter (fun (k, e) -> cache_store cache k e) s;
+  Array.iter (fun (k, e) -> table_store cache.subs k e) s;
   cache
 
 let rec count_subresults sub =
@@ -154,27 +180,28 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
   @@ fun () ->
   let target_ii = Option.value ~default:ii target_ii in
   let explored = ref 0 and routed = ref 0 in
+  let key_of ~level ~path ~ws ~ili ~ii =
+    {
+      k_kernel = Ddg.name ddg;
+      (* Total identity: the cache may outlive this run and meet
+         fabrics [Dspfabric.name] cannot tell apart (same N/M/K,
+         different fan-outs or port counts). *)
+      k_machine = Dspfabric.id fabric;
+      k_level = level;
+      k_path = path;
+      k_ws = ws;
+      k_ili = ili;
+      k_ii = ii;
+      k_target_ii = target_ii;
+      k_config = config;
+    }
+  in
   let rec solve_sub ~level ~path ~ws ~ili =
     match cache with
     | None -> compute_sub ~level ~path ~ws ~ili
     | Some cache -> (
-        let key =
-          {
-            k_kernel = Ddg.name ddg;
-            (* Total identity: the cache may outlive this run and meet
-               fabrics [Dspfabric.name] cannot tell apart (same N/M/K,
-               different fan-outs or port counts). *)
-            k_machine = Dspfabric.id fabric;
-            k_level = level;
-            k_path = path;
-            k_ws = ws;
-            k_ili = ili;
-            k_ii = ii;
-            k_target_ii = target_ii;
-            k_config = config;
-          }
-        in
-        match cache_find cache key with
+        let key = key_of ~level ~path ~ws ~ili ~ii in
+        match table_find cache.subs key with
         | Some e ->
             (match stats with
             | Some s ->
@@ -198,7 +225,7 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
             let e_subproblems =
               match res with Ok sub -> count_subresults sub | Error _ -> 1
             in
-            cache_store cache key
+            table_store cache.subs key
               {
                 e_res = res;
                 e_explored = !explored - x0;
@@ -273,20 +300,41 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
        receive and forwarding operations this level cannot see, and a
        cluster filled to the brim leaves them nowhere to go.  Never
        below what the working set strictly needs, though. *)
-    let see_ii =
-      if view.Dspfabric.is_leaf then ii
+    let see_ii_at =
+      if view.Dspfabric.is_leaf then Fun.id
       else begin
         let demand = Resource.demand ddg ws in
         let capacity =
           Array.fold_left Resource.add Resource.zero child_caps
         in
-        let floor_ii =
-          (Resource.min_ii ~demand ~capacity + 1) |> min ii
-        in
-        max floor_ii (ii * 4 / 5)
+        let floor_ii = Resource.min_ii ~demand ~capacity + 1 in
+        fun ii -> max (min floor_ii ii) (ii * 4 / 5)
       end
     in
-    let* outcome = See.solve ~config ~target_ii ~backbone problem ~ii:see_ii in
+    let see_ii = see_ii_at ii in
+    let see () = See.solve ~config ~target_ii ~backbone problem ~ii:see_ii in
+    let* outcome =
+      match cache with
+      | Some cache when not view.Dspfabric.is_leaf -> (
+          let key = key_of ~level ~path ~ws ~ili ~ii:see_ii in
+          match table_find cache.sees key with
+          | Some r ->
+              Hca_obs.Obs.count "memo.see_hit" 1;
+              if Hca_obs.Obs.enabled () then
+                Hca_obs.Obs.instant "memo.see_hit"
+                  ~args:
+                    [ ("path", name);
+                      ("level", string_of_int level);
+                      ("see_ii", string_of_int see_ii) ];
+              r
+          | None ->
+              let r = see () in
+              (* [see_ii_at] never decreases: when [ii + 1] already
+                 gets a wider window, no later II asks for this one. *)
+              if see_ii_at (ii + 1) = see_ii then table_store cache.sees key r;
+              r)
+      | _ -> see ()
+    in
     explored := !explored + outcome.See.explored;
     routed := !routed + outcome.See.routed;
     (* Wires made here become input ports of the children; packing them

@@ -49,7 +49,17 @@ type t = {
     and replays its explored/routed deltas, so a memoised run is
     bit-identical to a memo-off run (property tested).  The cache is
     lock-striped: keys embed the II, so the concurrent II probes of
-    [Report.run ~jobs] never contend on the same key. *)
+    [Report.run ~jobs] never contend on the same key.
+
+    Next to the subproblems the cache keeps set-level SEE outcomes,
+    keyed by the SEE's own capacity window instead of the II: a set
+    level searches at [max floor (ii * 4 / 5)], so neighbouring IIs of
+    the climb often pose the SEE the same search, which is then solved
+    once and replayed (explored/routed included, so hits are
+    bit-identical too).  An outcome is kept only when the next II
+    shares its window; leaves are never kept.  Each hit counts
+    [memo.see_hit] in {!Hca_obs.Obs}.  These outcomes are not part of
+    {!snapshot} or {!cache_length}. *)
 
 type stats = {
   mutable cache_hits : int;

@@ -123,8 +123,8 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
   in
   let expand ~tail_of_region node state =
     (* One pass over the state's flat arrays scores every candidate
-       cluster (tear penalty included), reusing one speculation arena
-       (it still allocates about 12 words per candidate slot, see
+       cluster (tear penalty included), reusing one pooled speculation
+       arena (it still allocates about 31 words per call, see
        {!State.score_moves}); the candidate-width cut happens inside
        the batch, so only the winners pay a [Spec] record.  Scores are bit-identical
        to the speculate/penalise/undo loop this replaces (property

@@ -96,9 +96,11 @@ val score_moves :
     the same move (property tested: the scoring arithmetic is shared,
     not duplicated).  It is not allocation-free: metered with
     [Gc.minor_words] on the perfbench [compile] gated set (one pass,
-    14 kernels), 252,317 calls scoring 2,018,536 candidate slots
-    allocated 181.6 MB, about 12 words per candidate slot (94 per
-    call), a tenth of the pass's 1.7 GB.
+    14 kernels), 212,674 calls scoring 850,696 candidate clusters
+    allocated 53.2 MB, about 31 words per call (8 per candidate), 4%
+    of the pass.  Most of the old 186 MB (92 words per call) was the
+    flow's speculation trail, grown afresh on every new beam state
+    until {!Copy_flow} pooled its arenas per domain.
     @raise Invalid_argument when a speculation is in flight or [node]
     is already assigned. *)
 

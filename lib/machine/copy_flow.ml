@@ -12,9 +12,13 @@ open Hca_ddg
    [in_pressure], [can_add]...) are O(1) reads; every mutation keeps
    them in sync.
 
-   The speculation trail is an arena: a preallocated int array of
-   compact arc ids reused across probes, so an apply/undo round trip
-   allocates nothing once the arena is warm. *)
+   The speculation trail is an arena: an int array of compact arc ids
+   reused across probes, so an apply/undo round trip allocates nothing
+   once the arena is warm.  A flow holds an arena only while a mark is
+   open: the outermost [push_mark] takes one from a per-domain pool and
+   the [undo_to_mark] that closes the last mark gives it back, so the
+   beam's many short-lived clones share a few warm arenas instead of
+   each growing its own. *)
 type t = {
   pg : Pattern_graph.t;
   n : int;
@@ -36,7 +40,8 @@ type t = {
   mutable used_ports : int;  (* in-ports with at least one out-arc *)
   (* Speculation trail: while a mark is outstanding, [add_copy] logs
      each mutated compact arc id so [undo_to_mark] can reverse the
-     mutations exactly (LIFO: the value lists are stacks). *)
+     mutations exactly (LIFO: the value lists are stacks).  [[||]]
+     whenever no mark is open. *)
   mutable trail : int array;
   mutable trail_len : int;
   mutable marks : int;
@@ -257,7 +262,20 @@ let remove_copy t ~src ~dst value =
       t.committed_in.(dst) <- t.committed_in.(dst) - 1
   end
 
+(* Free trail arenas of this domain, a stack.  Several flows of one
+   domain may have marks open at once (a beam state and the Route
+   Allocator's probe, say): each takes its own arena, so the stack
+   holds as many arenas as were ever open together. *)
+let free_arenas : int array Hca_util.Vec.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hca_util.Vec.create ())
+
 let push_mark t =
+  if t.marks = 0 then begin
+    let free = Domain.DLS.get free_arenas in
+    t.trail <-
+      (if Hca_util.Vec.length free = 0 then Array.make 64 0
+       else Hca_util.Vec.pop free)
+  end;
   t.marks <- t.marks + 1;
   t.trail_len
 
@@ -287,7 +305,11 @@ let undo_to_mark t mark =
     t.trail_len <- t.trail_len - 1;
     undo_event t t.trail.(t.trail_len)
   done;
-  t.marks <- t.marks - 1
+  t.marks <- t.marks - 1;
+  if t.marks = 0 then begin
+    ignore (Hca_util.Vec.push (Domain.DLS.get free_arenas) t.trail : int);
+    t.trail <- [||]
+  end
 
 let equal a b =
   a.n = b.n

@@ -98,7 +98,9 @@ val remove_copy :
     every subsequent {!add_copy} logs its mutation, and [undo_to_mark]
     reverses them exactly, leaving the flow bit-identical to the state
     at the mark (the round trip is property-tested).  Marks nest
-    LIFO. *)
+    LIFO.  The trail arena is borrowed from a per-domain pool by the
+    outermost [push_mark] and returned when the last mark closes, so
+    clones and snapshots never grow arenas of their own. *)
 
 type mark
 

@@ -2,9 +2,12 @@
     {!Hca_core.Hierarchy} serialised to disk, so warm caches survive
     daemon restarts.
 
-    Format: a text header — magic line, then the invalidation stamp on
-    its own line — followed by the [Marshal]led
-    {!Hca_core.Hierarchy.snapshot}.  The stamp (see
+    Format: a text header — magic line, the invalidation stamp on its
+    own line, then the payload's length and MD5 digest — followed by
+    the [Marshal]led {!Hca_core.Hierarchy.snapshot}.  The payload is
+    verified against the header before it is unmarshalled, so a flipped
+    or missing byte is refused instead of crashing the process or
+    replaying a corrupt entry.  The stamp (see
     {!Hca_util.Stamp.store_stamp}) ties the file to the exact code tree
     and store format that wrote it: memo entries embed solver-internal
     structures whose meaning drifts with any code change, so a stale
@@ -34,4 +37,5 @@ val load :
   (Hca_core.Hierarchy.snapshot option, string) result
 (** [Ok None] when the file does not exist or carries a different
     stamp (stale — silently start cold); [Error] on a file that exists
-    but cannot be a store (bad magic, truncated payload). *)
+    but cannot be a store (bad magic, bad checksum line, payload of the
+    wrong length or failing its digest). *)

@@ -754,6 +754,54 @@ let test_hierarchy_counts_consistent () =
       (* Every instruction plus every forward is on some CN. *)
       Alcotest.(check int) "all placed" (4 + List.length res.Hierarchy.forwards) total
 
+(* IIs 5 and 6 give fir2dim's set levels the same SEE window
+   (6 * 4 / 5 = 4), so the climb's second attempt replays set-level
+   outcomes the first one stored; leaves search at the II itself and
+   must never be replayed.  Either way each attempt must equal a
+   cold-cache solve. *)
+let test_hierarchy_see_reuse () =
+  let fabric = Dspfabric.reference in
+  let ddg = Hca_kernels.Fir2dim.ddg () in
+  let fingerprint = function
+    | Error e -> Error e
+    | Ok (h : Hierarchy.t) ->
+        Ok
+          ( Array.to_list h.Hierarchy.cn_of_instr,
+            h.Hierarchy.forwards,
+            h.Hierarchy.explored,
+            h.Hierarchy.routed )
+  in
+  let solve ~cache ii = Hierarchy.solve ~target_ii:5 ~cache fabric ddg ~ii in
+  let cache = Hierarchy.create_cache () in
+  Hca_obs.Obs.Capture.start ();
+  let warm = List.map (fun ii -> (ii, solve ~cache ii)) [ 5; 6 ] in
+  let events = Hca_obs.Obs.Capture.stop () in
+  let hits =
+    List.fold_left
+      (fun acc (e : Hca_obs.Obs.event) ->
+        if e.Hca_obs.Obs.kind = `Count && e.Hca_obs.Obs.name = "memo.see_hit"
+        then acc + int_of_float e.Hca_obs.Obs.value
+        else acc)
+      0 events
+  in
+  Alcotest.(check bool) "set-level outcomes replayed" true (hits > 0);
+  List.iter
+    (fun (e : Hca_obs.Obs.event) ->
+      if e.Hca_obs.Obs.kind = `Instant && e.Hca_obs.Obs.name = "memo.see_hit"
+      then
+        let level = int_of_string (List.assoc "level" e.Hca_obs.Obs.args) in
+        Alcotest.(check bool) "never a leaf" false
+          (Dspfabric.level_view fabric ~level).Dspfabric.is_leaf)
+    events;
+  List.iter
+    (fun (ii, res) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "II %d equals a cold-cache solve" ii)
+        true
+        (fingerprint res
+        = fingerprint (solve ~cache:(Hierarchy.create_cache ()) ii)))
+    warm
+
 let () =
   Alcotest.run "core"
     [
@@ -811,6 +859,8 @@ let () =
       ( "hierarchy",
         [
           Alcotest.test_case "small fabric" `Quick test_hierarchy_small_fabric;
+          Alcotest.test_case "set-level SEE reuse" `Quick
+            test_hierarchy_see_reuse;
           Alcotest.test_case "all kernels legal" `Slow test_hierarchy_full_kernels_legal;
           Alcotest.test_case "coherency catches corruption" `Quick
             test_coherency_catches_corruption;

@@ -157,6 +157,42 @@ let test_flow_clone_isolation () =
   Alcotest.(check int) "original untouched" 1 (Copy_flow.copy_count flow);
   Alcotest.(check int) "clone grew" 2 (Copy_flow.copy_count copy)
 
+(* Trail arenas come from a per-domain pool: marks open on two flows at
+   once must each log into their own arena, including one handed back
+   and re-taken while the other flow's mark is still open. *)
+let test_flow_marks_on_two_flows () =
+  let a = Copy_flow.create (complete4 ()) in
+  Copy_flow.add_copy a ~src:0 ~dst:1 1;
+  let b = Copy_flow.clone a and reference = Copy_flow.clone a in
+  let same name f =
+    Alcotest.(check bool) name true (Copy_flow.equal f reference)
+  in
+  (* Leave a warm arena in the pool, so both marks below draw on it. *)
+  let m = Copy_flow.push_mark a in
+  Copy_flow.add_copy a ~src:1 ~dst:3 5;
+  Copy_flow.undo_to_mark a m;
+  let ma = Copy_flow.push_mark a in
+  Copy_flow.add_copy a ~src:0 ~dst:2 7;
+  let mb = Copy_flow.push_mark b in
+  Copy_flow.add_copy b ~src:1 ~dst:2 9;
+  (* more than one arena's worth, so [b] grows its arena mid-mark *)
+  for v = 100 to 199 do
+    Copy_flow.add_copy b ~src:2 ~dst:3 v
+  done;
+  let ma' = Copy_flow.push_mark a in
+  Copy_flow.add_copy a ~src:0 ~dst:1 8;
+  Copy_flow.undo_to_mark a ma';
+  Copy_flow.undo_to_mark a ma;
+  same "a undone while b is open" a;
+  let ma = Copy_flow.push_mark a in
+  Copy_flow.add_copy a ~src:3 ~dst:0 11;
+  Alcotest.(check int) "b keeps its copies" 102 (Copy_flow.copy_count b);
+  Copy_flow.undo_to_mark b mb;
+  same "b undone" b;
+  Alcotest.(check int) "a keeps its copy" 2 (Copy_flow.copy_count a);
+  Copy_flow.undo_to_mark a ma;
+  same "a undone again" a
+
 (* --- dspfabric -------------------------------------------------------- *)
 
 let test_fabric_reference () =
@@ -306,6 +342,8 @@ let () =
           Alcotest.test_case "in port limit" `Quick test_flow_in_port_limit;
           Alcotest.test_case "reserved backbone" `Quick test_flow_reserved_backbone;
           Alcotest.test_case "clone" `Quick test_flow_clone_isolation;
+          Alcotest.test_case "marks on two flows" `Quick
+            test_flow_marks_on_two_flows;
         ] );
       ( "dspfabric",
         [

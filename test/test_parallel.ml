@@ -353,7 +353,11 @@ let test_report_jobs_invariant () =
   let par = Report.run ~jobs:4 fabric ddg in
   Alcotest.(check bool)
     "Report.run jobs=4 = jobs=1" true
-    (report_fields seq = report_fields par)
+    (report_fields seq = report_fields par);
+  Alcotest.(check string)
+    "invariant string jobs=4 = jobs=1"
+    (Report.invariant_string seq)
+    (Report.invariant_string par)
 
 let test_memo_invariant () =
   let fabric = Dspfabric.reference in
@@ -366,6 +370,12 @@ let test_memo_invariant () =
         (name ^ ": memo on = memo off")
         true
         (quality_fields on = quality_fields off);
+      (* The placement digest too: replayed subproblems and SEE
+         outcomes must commit the very same assignment. *)
+      Alcotest.(check string)
+        (name ^ ": invariant string memo on = memo off")
+        (Report.invariant_string off)
+        (Report.invariant_string on);
       Alcotest.(check bool)
         (name ^ ": memo off counts nothing")
         true

@@ -458,6 +458,50 @@ let test_store_corrupt_and_missing () =
   Alcotest.(check int) "daemon survives corruption" 0 (Daemon.loaded_entries t);
   Sys.remove path
 
+(* Every flipped payload byte and every truncation must be refused
+   before unmarshalling: a corrupt payload could otherwise crash the
+   daemon at startup or replay a wrong subproblem result. *)
+let test_store_checksum () =
+  let path = tmp_store "checksum" in
+  let a = Daemon.create ~store_path:path () in
+  ignore (run_one a {|{"verb":"submit","kernel":"fir2dim"}|});
+  (match Daemon.flush_store a with
+  | Ok (Some _) -> ()
+  | _ -> Alcotest.fail "flush failed");
+  let stamp = Store.default_stamp () in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let write b = Out_channel.with_open_bin path (fun oc -> output_string oc b) in
+  (* The payload follows the magic, stamp and checksum lines. *)
+  let start =
+    List.fold_left (fun i _ -> String.index_from bytes i '\n' + 1) 0 [ 1; 2; 3 ]
+  in
+  let len = String.length bytes - start in
+  Alcotest.(check bool) "payload present" true (len > 100);
+  let refused what =
+    match Store.load ~path ~stamp with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  List.iter
+    (fun off ->
+      let b = Bytes.of_string bytes in
+      let i = start + off in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+      write (Bytes.to_string b);
+      refused (Printf.sprintf "byte flipped at payload offset %d" off))
+    [ 0; 1; 7; len / 3; len / 2; 3 * len / 4; len - 2; len - 1 ];
+  List.iter
+    (fun keep ->
+      write (String.sub bytes 0 (start + keep));
+      refused (Printf.sprintf "payload truncated to %d bytes" keep))
+    [ 0; 1; len / 2; len - 1 ];
+  (* The intact file still loads. *)
+  write bytes;
+  (match Store.load ~path ~stamp with
+  | Ok (Some _) -> ()
+  | _ -> Alcotest.fail "intact store refused");
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry: the metrics verb, per-request traces, the flight         *)
 (* recorder, and the extended stats fields.  The registry and the      *)
@@ -732,6 +776,8 @@ let () =
             test_store_stale_stamp_invalidation;
           Alcotest.test_case "corrupt and missing" `Quick
             test_store_corrupt_and_missing;
+          Alcotest.test_case "checksum refuses flips and truncation" `Quick
+            test_store_checksum;
         ] );
       ( "telemetry",
         [
