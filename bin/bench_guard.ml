@@ -4,10 +4,11 @@
                       [--gate-optgap] BASELINE.json CURRENT.json
 
    Both files hold newline-delimited JSON records as emitted by
-   [bench/main.exe --json].  For every (experiment, kernel) row present
-   in BOTH files, the quality fields — "final_mii", "legal", "copies",
-   and "wires" when present — must match exactly as parsed JSON values;
-   runtimes and counters may drift, quality may not.  Rows only one side
+   [hca bench --json] (or [hca dse --out], [hca loadtest --out]).  For
+   every (experiment, kernel) row present in BOTH files, the quality
+   fields — "final_mii", "legal", "copies", and "wires" when present —
+   must match exactly as parsed JSON values; runtimes and counters may
+   drift, quality may not.  Rows only one side
    has (new kernels, new experiments) are reported but do not fail the
    gate, so the baseline does not need to grow in lockstep with the
    suite.

@@ -5,6 +5,7 @@
      run    <kernel>   full HCA pass on a DSPFabric instance
      exact  <kernel>   SAT-based exact cluster-assignment oracle
      table1            reproduce Table 1 of the paper
+     bench [EXP]...    the reproduction experiments (see bin/experiments.ml)
      dse               design-space sweep over machine descriptions
      dot    <kernel>   DOT dump (optionally clustered by assignment)
      serve             compile daemon (socket/stdio, persistent memo store)
@@ -315,19 +316,75 @@ let tracecheck_cmd =
 
 let table1_cmd =
   let run fabric config =
-    let table =
-      Hca_util.Tabular.create
-        (List.map (fun h -> (h, Hca_util.Tabular.Left)) Report.header)
-    in
-    List.iter
-      (fun (_, f) ->
-        let report = Report.run ~config fabric (f ()) in
-        Hca_util.Tabular.add_row table (Report.row report))
-      Registry.all;
-    Hca_util.Tabular.print table
+    Experiments.table1 ~fabric ~config
+      { json = false; profile = false; jobs = 1; oracle_budget = None; max_n = None }
   in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table 1 of the paper")
     Term.(const run $ fabric_term $ config_term)
+
+let bench_cmd =
+  let experiments =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun ((n, _, _) as e) -> (n, e)) Experiments.all)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiments to run, in order (default: all of them).")
+  in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let json =
+    flag "json"
+      "Print the per-kernel experiments (table1, fig_scaling, extended, \
+       optgap) as NDJSON rows, each stamped with config_hash and git."
+  in
+  let profile =
+    flag "profile"
+      "Trace each kernel of the JSON experiments and append per-phase \
+       wall-clock columns; kernel-axis parallelism drops to 1."
+  in
+  let telemetry =
+    flag "telemetry"
+      "Arm the daemon's flight-recorder ring for the whole run.  Rows keep \
+       their names, so a plain and an armed run compare row for row."
+  in
+  let oracle_budget =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "oracle-budget" ] ~docv:"SECONDS"
+          ~doc:"optgap: per-kernel oracle budget (default 10 s up to 24 \
+                instructions, else 5 s).")
+  in
+  let max_n =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-n" ] ~docv:"N" ~doc:"optgap: skip kernels above $(docv) instructions.")
+  in
+  let run experiments json profile telemetry jobs oracle_budget max_n =
+    let bad p = function Some v -> not (p v) | None -> false in
+    if jobs < 1 || bad (fun b -> b > 0.) oracle_budget || bad (fun m -> m >= 1) max_n
+    then `Error (true, "--jobs, --oracle-budget and --max-n must be positive")
+    else begin
+      if telemetry then Hca_obs.Obs.Ring.arm ();
+      let ctx = { Experiments.json; profile; jobs; oracle_budget; max_n } in
+      let chosen = if experiments = [] then Experiments.all else experiments in
+      (* Run every chosen experiment, then fail if any check failed. *)
+      let passed = List.map (fun (_, _, f) -> f ctx) chosen in
+      if List.for_all Fun.id passed then `Ok () else exit 1
+    end
+  in
+  let man =
+    `S Manpage.s_description
+    :: `P "The paper's evaluation, one experiment per claim:"
+    :: List.map (fun (name, doc, _) -> `I (name, doc)) Experiments.all
+  in
+  Cmd.v
+    (Cmd.info "bench" ~man
+       ~doc:"Run the reproduction experiments (Table 1 and the paper's claims)")
+    Term.(
+      ret
+        (const run $ experiments $ json $ profile $ telemetry $ jobs_term
+       $ oracle_budget $ max_n))
 
 (* hca dse: enumerate/sample machine points, evaluate every (machine x
    kernel) pair on the domain pool, and report the Pareto front over
@@ -476,17 +533,13 @@ let dse_cmd =
           output_string oc
             (let open Hca_util.Json in
              let count l = Num (float_of_int (List.length l)) in
-             to_string
-               (Obj
-                  [
-                    ("experiment", Str "dse_meta");
-                    ("kernel", Str "sweep");
-                    ("points", count points);
-                    ("kernels", count kernels);
-                    ("rows", count result.Hca_gen.Dse.evals);
-                    ("runtime_s", decimals 3 (Hca_util.Clock.now () -. t0));
-                  ])
-             ^ "\n");
+             row ~experiment:"dse_meta" ~kernel:"sweep"
+               [
+                 ("points", count points);
+                 ("kernels", count kernels);
+                 ("rows", count result.Hca_gen.Dse.evals);
+                 ("runtime_s", decimals 3 (Hca_util.Clock.now () -. t0));
+               ]);
         close_out oc;
         Printf.printf "rows written to %s\n" path);
     match Hca_gen.Dse.check result with
@@ -528,6 +581,11 @@ let dot_cmd =
   Cmd.v (Cmd.info "dot" ~doc:"Dump the kernel DDG as Graphviz DOT")
     Term.(const run $ kernel_arg $ fabric_term $ assigned)
 
+let fixed_ii_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "ii" ] ~docv:"II" ~doc:"Fixed II (default: iniMII).")
+
 let explain_cmd =
   let run (name, f) fabric config ii =
     ignore name;
@@ -565,13 +623,8 @@ let explain_cmd =
         let m = Metrics.of_result res in
         Format.printf "%a legal=%b@." Metrics.pp m (Coherency.is_legal res)
   in
-  let ii_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "ii" ] ~docv:"II" ~doc:"Fixed II (default: iniMII).")
-  in
   Cmd.v (Cmd.info "explain" ~doc:"Per-subproblem breakdown of one HCA pass")
-    Term.(const run $ kernel_arg $ fabric_term $ config_term $ ii_arg)
+    Term.(const run $ kernel_arg $ fabric_term $ config_term $ fixed_ii_arg)
 
 let level0_cmd =
   let run (name, f) fabric config ii =
@@ -607,14 +660,9 @@ let level0_cmd =
         Format.printf "total copies: %d@."
           (Hca_machine.Copy_flow.copy_count flow)
   in
-  let ii_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "ii" ] ~docv:"II" ~doc:"Fixed II (default: iniMII).")
-  in
   Cmd.v
     (Cmd.info "level0" ~doc:"Solve and dump only the level-0 subproblem")
-    Term.(const run $ kernel_arg $ fabric_term $ config_term $ ii_arg)
+    Term.(const run $ kernel_arg $ fabric_term $ config_term $ fixed_ii_arg)
 
 let topology_cmd =
   let run (name, f) fabric config =
@@ -629,73 +677,39 @@ let topology_cmd =
        ~doc:"Emit the reconfiguration program of the selected topology")
     Term.(const run $ kernel_arg $ fabric_term $ config_term)
 
+(* Compile, then run the post-mapping pipeline; any pipeline error is
+   printed and exits 1. *)
+let pipeline_cmd (_, f) fabric config ?iterations k =
+  let ddg = f () in
+  let report = Report.run ~config fabric ddg in
+  match Hca_sim.Pipeline.run ?iterations fabric ~original:ddg report with
+  | Ok p -> k report p
+  | Error e ->
+      prerr_endline (Hca_sim.Pipeline.error_to_string e);
+      exit 1
+
 let sched_cmd =
-  let run (name, f) fabric config =
-    ignore name;
-    let ddg = f () in
-    let report = Report.run ~config fabric ddg in
-    match (report.Report.result, report.Report.final_mii) with
-    | Some res, Some final -> (
-        let exp = Postprocess.expand res in
-        Printf.printf "expanded DDG: %d nodes (%d receives, %d forwards)\n"
-          (Ddg.size exp.Postprocess.ddg)
-          exp.Postprocess.recv_count exp.Postprocess.forward_count;
-        let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-        match
-          Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-            ~cn_of_instr:exp.Postprocess.cn_of_node
-            ~cns:(Dspfabric.total_cns fabric)
-            ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
-        with
-        | Error e -> Printf.printf "scheduling failed: %s\n" e
-        | Ok s ->
-            Printf.printf
-              "modulo schedule: II=%d (final MII %d), %d stages, occupancy \
-               %.2f\n"
-              s.Hca_sched.Modulo.ii final s.Hca_sched.Modulo.stages
-              s.Hca_sched.Modulo.occupancy)
-    | _ ->
-        prerr_endline "clusterisation failed";
-        exit 1
+  let run kernel fabric config =
+    pipeline_cmd kernel fabric config @@ fun report p ->
+    let exp = p.expanded and s = p.schedule in
+    Printf.printf "expanded DDG: %d nodes (%d receives, %d forwards)\n"
+      (Ddg.size exp.ddg) exp.recv_count exp.forward_count;
+    Printf.printf
+      "modulo schedule: II=%d (final MII %d), %d stages, occupancy %.2f\n"
+      s.ii (Option.get report.Report.final_mii) s.stages s.occupancy
   in
-  Cmd.v
-    (Cmd.info "sched" ~doc:"Modulo-schedule the clusterised kernel end to end")
+  Cmd.v (Cmd.info "sched" ~doc:"Modulo-schedule the clusterised kernel end to end")
     Term.(const run $ kernel_arg $ fabric_term $ config_term)
 
 let simulate_cmd =
-  let run (name, f) fabric config iterations =
-    ignore name;
-    let ddg = f () in
-    let report = Report.run ~config fabric ddg in
-    match (report.Report.result, report.Report.final_mii) with
-    | Some res, Some final -> (
-        let exp = Postprocess.expand res in
-        let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-        match
-          Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-            ~cn_of_instr:exp.Postprocess.cn_of_node
-            ~cns:(Dspfabric.total_cns fabric)
-            ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
-        with
-        | Error e -> Printf.printf "scheduling failed: %s\n" e
-        | Ok schedule -> (
-            match
-              Hca_sim.Machine_sim.check_against_reference ~iterations
-                ~original:ddg ~expanded:exp.Postprocess.ddg
-                ~cn_of_node:exp.Postprocess.cn_of_node ~schedule ()
-            with
-            | Error e -> Printf.printf "simulation FAILED: %s\n" e
-            | Ok stats ->
-                Printf.printf
-                  "simulated %d iterations: trace matches the reference \
-                   (%d stores, %d cycles, %d dynamic instructions)\n"
-                  iterations
-                  (List.length stats.Hca_sim.Machine_sim.trace)
-                  stats.Hca_sim.Machine_sim.cycles
-                  stats.Hca_sim.Machine_sim.issued))
-    | _ ->
-        prerr_endline "clusterisation failed";
-        exit 1
+  let run kernel fabric config iterations =
+    pipeline_cmd kernel fabric config ~iterations @@ fun _ p ->
+    Printf.printf
+      "simulated %d iterations: trace matches the reference (%d stores, %d \
+       cycles, %d dynamic instructions)\n"
+      iterations
+      (List.length p.stats.trace)
+      p.stats.cycles p.stats.issued
   in
   let iters =
     Arg.(
@@ -705,7 +719,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Execute the compiled kernel on the machine simulator and check \
-             it against the reference interpreter")
+             it against the reference interpreter (exits 1 on divergence)")
     Term.(const run $ kernel_arg $ fabric_term $ config_term $ iters)
 
 let portfolio_cmd =
@@ -785,17 +799,13 @@ let exact_cmd =
         | None -> Format.printf "HCA heuristic: no legal clusterisation@."
         | Some hca -> (
             Format.printf "HCA heuristic final MII: %d@." hca;
-            match (oracle.O.status, oracle.O.final_mii) with
-            | O.Optimal, Some exact ->
-                Format.printf "optimality gap: %.2f@."
-                  (Hca_baseline.Unified.optgap ~achieved:hca ~oracle:exact)
-            | _ ->
-                if oracle.O.lower_bound > 0 then
-                  Format.printf
-                    "gap upper bound: %.2f (vs certified lower bound %d)@."
-                    (Hca_baseline.Unified.optgap ~achieved:hca
-                       ~oracle:oracle.O.lower_bound)
-                    oracle.O.lower_bound))
+            match (O.gap oracle ~achieved:hca, oracle.O.status) with
+            | Some g, O.Optimal -> Format.printf "optimality gap: %.2f@." g
+            | Some g, _ ->
+                Format.printf
+                  "gap upper bound: %.2f (vs certified lower bound %d)@." g
+                  oracle.O.lower_bound
+            | None, _ -> ()))
   in
   let budget =
     Arg.(
@@ -1301,4 +1311,4 @@ let () =
     Cmd.info "hca" ~version:"1.0.0"
       ~doc:"Hierarchical Cluster Assignment for DSPFabric (IPPS 2007 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ stats_cmd; run_cmd; profile_cmd; tracecheck_cmd; exact_cmd; table1_cmd; dse_cmd; dot_cmd; explain_cmd; level0_cmd; topology_cmd; sched_cmd; simulate_cmd; portfolio_cmd; rcp_cmd; fuzz_cmd; serve_cmd; loadtest_cmd; top_cmd; list_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ stats_cmd; run_cmd; profile_cmd; tracecheck_cmd; exact_cmd; table1_cmd; bench_cmd; dse_cmd; dot_cmd; explain_cmd; level0_cmd; topology_cmd; sched_cmd; simulate_cmd; portfolio_cmd; rcp_cmd; fuzz_cmd; serve_cmd; loadtest_cmd; top_cmd; list_cmd ]))

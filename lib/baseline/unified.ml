@@ -5,7 +5,3 @@ let mii ddg fabric = Mii.mii ddg (Dspfabric.resources fabric)
 
 let gap ddg fabric ~final_mii =
   float_of_int final_mii /. float_of_int (mii ddg fabric)
-
-let optgap ~achieved ~oracle =
-  if oracle <= 0 then invalid_arg "Unified.optgap: oracle bound must be positive";
-  float_of_int achieved /. float_of_int oracle

@@ -13,10 +13,3 @@ val mii : Ddg.t -> Dspfabric.t -> int
 val gap : Ddg.t -> Dspfabric.t -> final_mii:int -> float
 (** [final_mii / optimum]: 1.0 means the clusterisation is as good as
     the unified machine. *)
-
-val optgap : achieved:int -> oracle:int -> float
-(** [achieved / oracle]: the heuristic-vs-exact ratio of the [optgap]
-    comparison tables, where [oracle] is an {!Hca_exact.Oracle} bound
-    (proven optimum, or certified lower bound — then the ratio is an
-    upper bound on the true gap).  Unlike {!gap}, the denominator
-    accounts for copy pressure, not just the unified-machine MII. *)

@@ -126,8 +126,8 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
        cluster (tear penalty included), reusing one pooled speculation
        arena (it still allocates about 31 words per call, see
        {!State.score_moves}); the candidate-width cut happens inside
-       the batch, so only the winners pay a [Spec] record.  Scores are bit-identical
-       to the speculate/penalise/undo loop this replaces (property
+       the batch, so only the winners pay a [Spec] record.  Scores are
+       bit-identical to [State.try_assign] plus [penalise] (property
        tested), and ties keep the cluster order, so the cut picks the
        same winners. *)
     let feasible =
@@ -159,8 +159,8 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
     else []
   in
   (* Clones are paid here, for beam survivors only: replaying the move
-     through the retained clone-based [try_assign] reproduces the
-     speculative score bit for bit. *)
+     through the clone-based [try_assign] reproduces the batch score
+     bit for bit. *)
   let materialise ~tail_of_region node = function
     | Mat st -> st
     | Spec { parent; cluster; cost } -> (
@@ -171,7 +171,7 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
             penalise ~tail_of_region st cluster;
             assert (State.cost st = cost);
             st
-        | Error _ -> assert false (* the speculation succeeded *))
+        | Error _ -> assert false (* the scored move was feasible *))
   in
   let by_cost a b = compare (State.cost a) (State.cost b) in
   (* Frontier cuts: stable top-k selection instead of sorting whole

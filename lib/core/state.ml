@@ -3,8 +3,8 @@ open Hca_machine
 (* Flat data layout: everything the per-probe hot path reads lives in
    int/float arrays indexed by PG node id — no [Resource.t] records, no
    per-cluster lists, no boxed floats.  The speculation bookkeeping is
-   a preallocated arena (mark/rewind), so an apply/score/undo round
-   trip allocates nothing once the arena is warm. *)
+   a pooled arena (mark/rewind), so scoring a move and undoing it
+   reuses the same arrays for every candidate. *)
 type t = {
   problem : Problem.t;
   (* Immutable per-problem caches, shared across clones. *)
@@ -37,9 +37,8 @@ type t = {
   node_proj : int array;
   node_fanin : float array;
   mutable cache_ii : int;
-  (* In-flight speculative move, if any: the undo scalars live on the
-     state, the array-shaped undo trail in the checked-out [scr]
-     arena. *)
+  (* In-flight Route-Allocator probe ({!probe_force}), if any: the
+     undo scalars of the move. *)
   mutable sp_active : bool;
   mutable sp_node : int;
   mutable sp_cluster : int;
@@ -49,16 +48,14 @@ type t = {
   mutable sp_cache_ii : int;
   mutable sp_fmark : Copy_flow.mark;
   mutable sp_fwd_len : int;  (* forwards count at [probe_force] time *)
-  mutable scr : scratch option;
 }
 
 (* The array-shaped speculation arena: preallocated, pooled per domain
-   and checked out for the duration of one probe (or one in-flight
-   speculation), so the SEE's clones — one per beam survivor — carry
-   no scratch arrays at all. *)
+   and checked out for the duration of one move or one scoring pass,
+   so the SEE's clones — one per beam survivor — carry no scratch
+   arrays at all. *)
 and scratch = {
   mutable cap : int;  (* arrays sized for PGs up to this many nodes *)
-  mutable spf : float array;  (* [0]/[1]: saved [fl] slots *)
   (* Deduplicated regular clusters the move mutated, with the pre-move
      contribution of each recorded at its arena slot.  [tmask] is the
      membership bitset that makes the dedup O(1). *)
@@ -78,7 +75,6 @@ and scratch = {
 
 let grow_scratch s cap =
   s.cap <- cap;
-  s.spf <- Array.make 2 0.0;
   s.touched <- Array.make cap 0;
   s.touched_len <- 0;
   s.tmask <- Hca_util.Bitset.create cap;
@@ -106,7 +102,6 @@ let acquire_scratch cap =
       let s =
         {
           cap = 0;
-          spf = [||];
           touched = [||];
           touched_len = 0;
           tmask = Hca_util.Bitset.create 0;
@@ -227,7 +222,6 @@ let create ?(backbone = []) problem =
       sp_cache_ii = -1;
       sp_fmark = Copy_flow.push_mark flow;
       sp_fwd_len = 0;
-      scr = None;
     }
   in
   Copy_flow.undo_to_mark t.flow t.sp_fmark;
@@ -242,7 +236,7 @@ let create ?(backbone = []) problem =
   t
 
 let clone t =
-  if t.sp_active then invalid_arg "State.clone: speculation in flight";
+  if t.sp_active then invalid_arg "State.clone: probe in flight";
   {
     t with
     place = Array.copy t.place;
@@ -255,7 +249,6 @@ let clone t =
     node_util = Array.copy t.node_util;
     node_proj = Array.copy t.node_proj;
     node_fanin = Array.copy t.node_fanin;
-    scr = None;
   }
 (* [regs]/[is_reg]/capacity caches/[scc] are immutable, so clones
    share them; the speculation scratch is pooled, so clones carry
@@ -483,11 +476,11 @@ let try_assign t ~node ~cluster ~ii ~target_ii ~weights =
       end
     end
 
-(* Shared by [speculate_assign] and [score_moves]: refresh the touched
-   clusters under [target_ii], snapshotting each pre-move contribution
-   at its arena slot first (each cluster appears once, so any restore
-   order lands on the pre-move values).  The cold cache-miss move
-   snapshots the full arrays instead. *)
+(* For [score_moves]: refresh the touched clusters under [target_ii],
+   snapshotting each pre-move contribution at its arena slot first
+   (each cluster appears once, so any restore order lands on the
+   pre-move values).  The cold cache-miss move snapshots the full
+   arrays instead. *)
 let refresh_speculative t s ~target_ii =
   if t.cache_ii <> target_ii then begin
     s.sp_full <- true;
@@ -523,96 +516,19 @@ let restore_speculative t s =
       t.node_fanin.(id) <- s.tr_fanin.(i)
     done
 
-(* Trail-based twin of {!try_assign}: the same move, the same checks,
-   the same arithmetic — applied to [t] itself under the preallocated
-   arena instead of a clone.  The member rows are deliberately left
-   untouched: no cost term reads them, and the round trip restores the
-   state bit for bit without them (property tested against
-   [debug_identical]). *)
-let speculate_assign t ~node ~cluster ~ii ~target_ii ~weights =
-  if t.sp_active then invalid_arg "State.speculate_assign: already in flight";
-  let nd = Problem.node t.problem node in
-  if t.place.(node) >= 0 then Error err_assigned
-  else if not (is_reg t cluster) then Error err_not_regular
-  else
-    let d_alus = t.dem_alus.(cluster) + nd.Problem.demand.Resource.alus in
-    let d_ags = t.dem_ags.(cluster) + nd.Problem.demand.Resource.ags in
-    if not (fits t ~cluster ~d_alus ~d_ags ~ii) then Error err_exhausted
-    else begin
-      t.sp_node <- node;
-      t.sp_cluster <- cluster;
-      t.sp_dem_alus <- t.dem_alus.(cluster);
-      t.sp_dem_ags <- t.dem_ags.(cluster);
-      t.sp_carried <- t.carried_cuts;
-      t.sp_cache_ii <- t.cache_ii;
-      t.sp_fmark <- Copy_flow.push_mark t.flow;
-      let sc = acquire_scratch t.pg_n in
-      sc.spf.(0) <- t.fl.(0);
-      sc.spf.(1) <- t.fl.(1);
-      t.place.(node) <- cluster;
-      t.dem_alus.(cluster) <- d_alus;
-      t.dem_ags.(cluster) <- d_ags;
-      t.assigned <- t.assigned + 1;
-      touch t sc cluster;
-      let blocked = route_arcs t sc ~node ~cluster in
-      if blocked >= 0 then begin
-        t.place.(node) <- -1;
-        t.dem_alus.(cluster) <- t.sp_dem_alus;
-        t.dem_ags.(cluster) <- t.sp_dem_ags;
-        t.assigned <- t.assigned - 1;
-        t.carried_cuts <- t.sp_carried;
-        Copy_flow.undo_to_mark t.flow t.sp_fmark;
-        clear_touched sc;
-        release_scratch sc;
-        Hca_obs.Obs.count "state.spec_reject" 1;
-        (* The SEE discards speculative error text; the arc ids stay
-           available through the retained clone-based [try_assign],
-           which the no-candidate diagnosis uses. *)
-        Error "no communication pattern"
-      end
-      else begin
-        refresh_speculative t sc ~target_ii;
-        t.fl.(0) <- score_now t ~ii:target_ii ~weights;
-        t.sp_active <- true;
-        t.scr <- Some sc;
-        Hca_obs.Obs.count "state.spec_apply" 1;
-        Ok ()
-      end
-    end
-
-let undo_speculation t =
-  if not t.sp_active then
-    invalid_arg "State.undo_speculation: nothing in flight";
-  let sc = match t.scr with Some s -> s | None -> assert false in
-  restore_speculative t sc;
-  t.cache_ii <- t.sp_cache_ii;
-  t.fl.(0) <- sc.spf.(0);
-  t.fl.(1) <- sc.spf.(1);
-  t.carried_cuts <- t.sp_carried;
-  t.place.(t.sp_node) <- -1;
-  t.dem_alus.(t.sp_cluster) <- t.sp_dem_alus;
-  t.dem_ags.(t.sp_cluster) <- t.sp_dem_ags;
-  t.assigned <- t.assigned - 1;
-  Copy_flow.undo_to_mark t.flow t.sp_fmark;
-  clear_touched sc;
-  release_scratch sc;
-  t.scr <- None;
-  t.sp_active <- false;
-  Hca_obs.Obs.count "state.spec_undo" 1
-
 (* Batched frontier scoring: evaluate every candidate cluster for
    [node] in one pass, reusing the speculation arena per candidate.
    [scores.(k)] receives the would-be {!cost} of the move to
    [clusters.(k)] — including the region-tear penalty the SEE would
    apply — or [nan] when the move is infeasible.  Returns the feasible
    count.  The state is restored bit for bit between candidates and
-   before returning; the float arithmetic is shared with the
-   speculative path ([score_now] / [Cost.score_flat]), so the batch is
-   bit-identical to a speculate/penalise/undo loop (property
-   tested). *)
+   before returning; the float arithmetic is shared with the clone
+   path ([score_now] / [Cost.score_flat]), so each score is
+   bit-identical to [try_assign]'s cost plus the tear penalty
+   (property tested). *)
 let score_moves t ~node ~clusters ~ii ~target_ii ~weights ~tail_of_region
     ~scores =
-  if t.sp_active then invalid_arg "State.score_moves: speculation in flight";
+  if t.sp_active then invalid_arg "State.score_moves: probe in flight";
   if t.place.(node) >= 0 then
     invalid_arg "State.score_moves: node already assigned";
   let nd = Problem.node t.problem node in
@@ -730,7 +646,7 @@ let force_assign t ~node ~cluster ~ii =
    bit for bit.  Cost caches are never touched: the probe answers
    feasibility only. *)
 let probe_force t ~node ~cluster ~ii =
-  if t.sp_active then invalid_arg "State.probe_force: speculation in flight";
+  if t.sp_active then invalid_arg "State.probe_force: probe in flight";
   let nd = Problem.node t.problem node in
   if t.place.(node) >= 0 then Error err_assigned
   else if not (is_reg t cluster) then Error err_not_regular
@@ -805,7 +721,6 @@ let commit_probe t ~target_ii ~weights =
       node_proj = Array.copy t.node_proj;
       node_fanin = Array.copy t.node_fanin;
       sp_active = false;
-      scr = None;
     }
   in
   recompute_cost t' ~target_ii ~weights;
@@ -881,9 +796,9 @@ let equal a b =
   && Copy_flow.equal a.flow b.flow
 
 (* Test hook: [equal] plus the derived structures (members, demand)
-   and the incremental-cost caches, so the trail property test can
-   assert a speculation round trip restores *every* field bit for
-   bit. *)
+   and the incremental-cost caches, so the property tests can assert
+   a scoring pass or a probe round trip restores *every* field bit
+   for bit. *)
 let debug_identical a b =
   equal a b
   && a.dem_alus = b.dem_alus

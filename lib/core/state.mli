@@ -47,30 +47,6 @@ val try_assign :
     driver had to relax [ii] for feasibility.  The input state is not
     modified. *)
 
-val speculate_assign :
-  t ->
-  node:int ->
-  cluster:Pattern_graph.node_id ->
-  ii:int ->
-  target_ii:int ->
-  weights:Cost.weights ->
-  (unit, string) result
-(** Trail-based twin of {!try_assign}: applies the same move with the
-    same checks and the same cost arithmetic to [t] itself, recording
-    an undo trail instead of cloning.  On [Ok ()] the move is left
-    applied — read {!cost}, {!free_issue_slots}, {!add_penalty} etc. to
-    score it — until {!undo_speculation} restores [t] bit for bit.  On
-    [Error] the state has already been rolled back.  At most one
-    speculation may be in flight per state, and a state with a
-    speculation in flight cannot be cloned.  The costs produced this
-    way are bit-identical to the clone-based {!try_assign} (property
-    tested), so the SEE can rank candidates speculatively and
-    materialise real clones only for the beam survivors. *)
-
-val undo_speculation : t -> unit
-(** Reverts the in-flight speculative move.
-    @raise Invalid_argument when none is in flight. *)
-
 val score_moves :
   t ->
   node:int ->
@@ -91,18 +67,17 @@ val score_moves :
     (non-regular target, resource table exhausted, or no communication
     pattern).  Returns the number of feasible moves.  The state is
     restored bit for bit between candidates and before returning, and
-    each score is bit-identical to a
-    {!speculate_assign}/penalty/{!cost}/{!undo_speculation} probe of
-    the same move (property tested: the scoring arithmetic is shared,
-    not duplicated).  It is not allocation-free: metered with
+    each score is bit-identical to the {!cost} of the {!try_assign}
+    successor plus that tear penalty (property tested: the scoring
+    arithmetic is shared, not duplicated).  It is not allocation-free: metered with
     [Gc.minor_words] on the perfbench [compile] gated set (one pass,
     14 kernels), 212,674 calls scoring 850,696 candidate clusters
     allocated 53.2 MB, about 31 words per call (8 per candidate), 4%
     of the pass.  Most of the old 186 MB (92 words per call) was the
     flow's speculation trail, grown afresh on every new beam state
     until {!Copy_flow} pooled its arenas per domain.
-    @raise Invalid_argument when a speculation is in flight or [node]
-    is already assigned. *)
+    @raise Invalid_argument when a {!probe_force} is in flight or
+    [node] is already assigned. *)
 
 val probe_force :
   t ->
@@ -122,7 +97,7 @@ val probe_force :
     Route Allocator probes every attempt this way and replays only the
     successful ones through {!force_assign}, so the ~80% of fallback
     attempts with no feasible detour never pay a clone.
-    @raise Invalid_argument when a speculation is in flight. *)
+    @raise Invalid_argument when a probe is already in flight. *)
 
 val commit_probe : t -> target_ii:int -> weights:Cost.weights -> t
 (** Materialises a successful {!probe_force} as a fresh successor
@@ -203,7 +178,7 @@ val debug_identical : t -> t -> bool
 (** Structural identity of two partial solutions (same placement,
     routed flow, forwards, carried cuts and bit-equal cost terms) plus
     every derived structure and incremental-cost cache — the
-    property-test oracle for speculation round trips. *)
+    property-test oracle for scoring and probe round trips. *)
 
 val recompute_cost : t -> target_ii:int -> weights:Cost.weights -> unit
 (** From-scratch reference: rebuilds every per-cluster cost

@@ -205,6 +205,15 @@ let run ?(strict = false) ?(budget_s = 10.) ?max_conflicts ?max_ii ?incumbent
       | None, false -> None);
   }
 
+let gap t ~achieved =
+  let bound =
+    match (t.status, t.final_mii) with
+    | Optimal, Some o -> o
+    | _ -> t.lower_bound
+  in
+  if bound <= 0 then None
+  else Some (float_of_int achieved /. float_of_int bound)
+
 let status_to_string = function
   | Optimal -> "optimal"
   | Feasible -> "feasible"

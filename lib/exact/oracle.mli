@@ -113,6 +113,12 @@ val run :
     parallelism, is where the PR-8 speedup comes from), so the verdict
     is identical at every [jobs] by construction. *)
 
+val gap : t -> achieved:int -> float option
+(** [achieved] over the proven optimum when [status = Optimal], else
+    over the certified [lower_bound] — then an upper bound on the true
+    gap.  The one gap figure of [hca exact] and the [optgap]
+    experiment; [None] when the bound is not positive. *)
+
 val status_to_string : status -> string
 
 val pp : Format.formatter -> t -> unit

@@ -127,42 +127,29 @@ let check_oracle fail opts fabric ddg report =
           Oracle_skipped "exception")
 
 (* (c) scheduled + mapped execution against the reference interpreter. *)
-let check_semantics fail opts fabric ddg expanded final_mii =
-  match (expanded, final_mii) with
+let check_semantics fail opts fabric ddg expanded (report : Report.t) =
+  match (expanded, report.final_mii) with
   | None, Some _ -> Sim_skipped "expand"
   | _, None -> Sim_skipped "infeasible"
-  | Some exp, Some start_ii -> (
-      let params =
-        { Hca_sched.Modulo.default_params with copy_latency = 0 }
-      in
+  | Some _, Some _ -> (
       match
-        Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-          ~cn_of_instr:exp.Postprocess.cn_of_node
-          ~cns:(Dspfabric.total_cns fabric)
-          ~dma_ports:(Dspfabric.dma_ports fabric)
-          ~start_ii ()
+        Hca_sim.Pipeline.run ~iterations:opts.iterations fabric ~original:ddg
+          report
       with
-      | Error e -> Sim_skipped ("sched: " ^ e)
-      | exception e -> Sim_skipped ("sched raised: " ^ Printexc.to_string e)
-      | Ok schedule -> (
-          match
-            Hca_sim.Machine_sim.check_against_reference
-              ~iterations:opts.iterations ~original:ddg
-              ~expanded:exp.Postprocess.ddg
-              ~cn_of_node:exp.Postprocess.cn_of_node ~schedule ()
-          with
-          | Ok stats ->
-              Sim_checked
-                {
-                  stores = List.length stats.Hca_sim.Machine_sim.trace;
-                  cycles = stats.Hca_sim.Machine_sim.cycles;
-                }
-          | Error e ->
-              fail "semantics" e;
-              Sim_skipped "trace-mismatch"
-          | exception e ->
-              fail "semantics" ("exception: " ^ Printexc.to_string e);
-              Sim_skipped "exception"))
+      | Ok p ->
+          Sim_checked
+            {
+              stores = List.length p.stats.Hca_sim.Machine_sim.trace;
+              cycles = p.stats.Hca_sim.Machine_sim.cycles;
+            }
+      | Error (Unschedulable e) -> Sim_skipped ("sched: " ^ e)
+      | Error Not_clusterised -> Sim_skipped "infeasible"
+      | Error (Diverged e) ->
+          fail "semantics" e;
+          Sim_skipped "trace-mismatch"
+      | exception e ->
+          fail "semantics" ("exception: " ^ Printexc.to_string e);
+          Sim_skipped "exception")
 
 (* (d) the quality verdict must not depend on jobs, memo or tracing. *)
 let check_invariance fail opts fabric ddg report =
@@ -203,7 +190,7 @@ let run ?(opts = default_opts) (inst : Gen.instance) =
   let feasible = report.Report.final_mii <> None in
   let expanded = check_coherency fail report in
   let oracle = check_oracle fail opts fabric ddg report in
-  let sim = check_semantics fail opts fabric ddg expanded report.Report.final_mii in
+  let sim = check_semantics fail opts fabric ddg expanded report in
   check_invariance fail opts fabric ddg report;
   {
     instance = inst;

@@ -160,19 +160,15 @@ let run ?(config = Config.default) ?(jobs = 1) ~kernels points =
   let summaries, front = summarise points evals in
   { evals; summaries; front }
 
-(* NDJSON mirrors bench/main.ml's row shape (same quality-field names,
+(* NDJSON mirrors the [hca bench] row shape (same quality-field names,
    so bench_guard gates dse rows like any experiment) but only prints
    figures that are pure functions of the sweep spec — no wall clock,
-   no allocation meters — so the bytes are identical at any [jobs]. *)
+   no allocation meters, no run stamp — so the bytes are identical at
+   any [jobs]. *)
 let to_ndjson r =
   let buf = Buffer.create 4096 in
   let row ~experiment ~kernel fields =
-    Buffer.add_string buf
-      (Json.to_string
-         (Json.Obj
-            (("experiment", Json.Str experiment) :: ("kernel", Json.Str kernel)
-           :: fields)));
-    Buffer.add_char buf '\n'
+    Buffer.add_string buf (Json.row ~experiment ~kernel fields)
   in
   let jint i = Json.Num (float_of_int i) in
   let jopt = function None -> Json.Null | Some v -> jint v in

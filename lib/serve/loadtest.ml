@@ -228,12 +228,7 @@ let num i = Json.Num (float_of_int i)
 let emit_rows path served agg_fields =
   let oc = open_out path in
   let row kernel fields =
-    output_string oc
-      (Json.to_string
-         (Json.Obj
-            (("experiment", Json.Str "serve_loadtest")
-            :: ("kernel", Json.Str kernel) :: fields)));
-    output_char oc '\n'
+    output_string oc (Json.row ~experiment:"serve_loadtest" ~kernel fields)
   in
   Fun.protect
     ~finally:(fun () -> close_out oc)

@@ -70,6 +70,11 @@ let decimals d f =
   let scale = 10. ** float_of_int d in
   Num (Float.round (f *. scale) /. scale)
 
+let row ~experiment ~kernel fields =
+  to_string
+    (Obj (("experiment", Str experiment) :: ("kernel", Str kernel) :: fields))
+  ^ "\n"
+
 (* {1 Parser} — recursive descent over the string, tracking the byte
    offset for error messages. *)
 

@@ -39,6 +39,12 @@ val decimals : int -> float -> t
     counterpart of a [%.*f] column, for rows that should not carry
     every digit of a measured float. *)
 
+val row : experiment:string -> kernel:string -> (string * t) list -> string
+(** One NDJSON row, newline included: an object whose first two keys
+    are ["experiment"] and ["kernel"], then [fields] in order.  Every
+    row the bench experiments, the DSE sweep and the loadtest write
+    goes through here, so [bench_guard] keys them all alike. *)
+
 (** {1 Typed accessors} — all total, [None] on shape mismatch. *)
 
 val member : string -> t -> t option

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end telemetry walkthrough — the scripted session from ISSUE 9's
-# acceptance criteria, doubling as the CI metrics-smoke step.
+# End-to-end telemetry walkthrough, doubling as the CI metrics-smoke
+# step.
 #
 #   1. start the daemon with structured logging, 1-in-2 request-trace
 #      sampling and the flight recorder armed;
@@ -15,18 +15,17 @@
 #      one JSON object;
 #   7. replay the same traffic against a telemetry-off daemon and let
 #      bench_guard prove the served quality is bit-identical;
-#   8. run the table1 bench with and without the flight ring armed and
-#      let bench_guard gate the telemetry overhead.
+#   8. run the table1 experiment (hca bench table1) with and without the
+#      flight ring armed and let bench_guard gate the telemetry overhead.
 #
 # Binaries are resolved from _build so the daemon can be backgrounded
 # without a wrapper process swallowing its graceful-shutdown SIGTERM;
-# override with HCA= / GUARD= / BENCH=.
+# override with HCA= / GUARD=.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 HCA=${HCA:-./_build/default/bin/hca_cli.exe}
 GUARD=${GUARD:-./_build/default/bin/bench_guard.exe}
-BENCH=${BENCH:-./_build/default/bench/main.exe}
 
 WORK=$(mktemp -d)
 SOCK="$WORK/hca.sock"
@@ -102,8 +101,8 @@ SERVE_PID=""
 "$GUARD" "$WORK/loadtest_off.json" "$WORK/loadtest_on.json"
 
 echo "== 9. telemetry overhead within budget on the table1 bench =="
-"$BENCH" table1 --json --jobs 1 > "$WORK/table1_off.json"
-"$BENCH" table1 --telemetry --json --jobs 1 > "$WORK/table1_on.json"
+"$HCA" bench table1 --json --jobs 1 > "$WORK/table1_off.json"
+"$HCA" bench table1 --telemetry --json --jobs 1 > "$WORK/table1_on.json"
 "$GUARD" --overhead-budget table1/h264deblocking=1.50 \
   "$WORK/table1_off.json" "$WORK/table1_on.json"
 

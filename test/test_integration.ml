@@ -120,28 +120,13 @@ let prop_pipeline_preserves_semantics =
     QCheck.(pair (int_range 12 40) (int_range 0 500))
     (fun (size, seed) ->
       let ddg = synth ~size ~seed ~recurrence:(seed mod 3) in
-      let report = run_hca ddg in
-      match (report.Report.result, report.Report.final_mii) with
-      | Some res, Some final -> (
-          let exp = Postprocess.expand res in
-          let params =
-            { Hca_sched.Modulo.default_params with copy_latency = 0 }
-          in
-          match
-            Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-              ~cn_of_instr:exp.Postprocess.cn_of_node ~cns:64 ~dma_ports:8
-              ~start_ii:final ()
-          with
-          | Error _ -> true (* unschedulable synthetic shapes are not the property *)
-          | Ok schedule -> (
-              match
-                Hca_sim.Machine_sim.check_against_reference ~iterations:4
-                  ~original:ddg ~expanded:exp.Postprocess.ddg
-                  ~cn_of_node:exp.Postprocess.cn_of_node ~schedule ()
-              with
-              | Ok _ -> true
-              | Error _ -> false))
-      | _ -> true)
+      match
+        Hca_sim.Pipeline.run ~iterations:4 reference ~original:ddg (run_hca ddg)
+      with
+      | Ok _ -> true
+      | Error (Not_clusterised | Unschedulable _) ->
+          true (* failures reported as failures are not the property *)
+      | Error (Diverged _) -> false)
 
 (* --- property: topology stays within the wire budget ----------------------- *)
 

@@ -137,11 +137,11 @@ let prop_incremental_cost_exact =
       incremental = from_scratch)
 
 (* ------------------------------------------------------------------ *)
-(* Speculative assignment == clone-based assignment                    *)
+(* Batched move scoring == clone-based assignment                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Random walk committing one legal move per node; at every step each
-   cluster is probed first speculatively, so the probes run against
+   cluster is probed first without committing, so the probes run against
    states of every depth.  [probe] sees the current state and a
    pristine clone of it, and returns false to fail the property. *)
 let walk_with_probes ~seed ~size probe =
@@ -172,61 +172,14 @@ let walk_with_probes ~seed ~size probe =
   done;
   !ok
 
-let prop_speculation_roundtrip =
-  QCheck.Test.make
-    ~name:"speculate_assign + undo leaves the state bit-identical" ~count:40
-    QCheck.(pair (int_range 0 1000) (int_range 6 16))
-    (fun (seed, size) ->
-      walk_with_probes ~seed ~size
-        (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
-          let sig0 = State.signature st in
-          (match
-             State.speculate_assign st ~node ~cluster ~ii ~target_ii ~weights
-           with
-          | Ok () -> State.undo_speculation st
-          | Error _ -> () (* failed moves roll back on their own *));
-          State.debug_identical st pristine
-          && State.signature st = sig0
-          && State.signature st = State.signature pristine))
-
-let prop_speculative_cost_exact =
-  QCheck.Test.make
-    ~name:"speculative cost = clone-based try_assign cost, bit for bit"
-    ~count:40
-    QCheck.(pair (int_range 0 1000) (int_range 6 16))
-    (fun (seed, size) ->
-      walk_with_probes ~seed ~size
-        (fun st _pristine ~node ~cluster ~ii ~target_ii ~weights ->
-          let spec =
-            match
-              State.speculate_assign st ~node ~cluster ~ii ~target_ii ~weights
-            with
-            | Ok () ->
-                let c = State.cost st in
-                State.undo_speculation st;
-                Some c
-            | Error _ -> None
-          in
-          let cloned =
-            match
-              State.try_assign st ~node ~cluster ~ii ~target_ii ~weights
-            with
-            | Ok st' -> Some (State.cost st')
-            | Error _ -> None
-          in
-          match (spec, cloned) with
-          | Some a, Some b -> Int64.bits_of_float a = Int64.bits_of_float b
-          | None, None -> true
-          | _ -> false))
-
-(* The SEE's batched frontier scoring against the per-candidate
-   speculate/penalise/undo loop it replaced: same feasibility verdicts,
-   bit-equal scores (region-tear penalty included), and the state comes
-   back bit-identical.  The candidate array deliberately carries a port
-   id and a far out-of-range id to pin the [nan] path. *)
+(* The SEE's batched frontier scoring against the clone path: same
+   feasibility verdicts, scores bit-equal to the cost of the
+   [try_assign] successor plus the region-tear penalty, and the state
+   comes back bit-identical.  The candidate array deliberately
+   carries a port id and a far out-of-range id to pin the [nan] path. *)
 let prop_score_moves_exact =
   QCheck.Test.make
-    ~name:"score_moves = speculate/penalise/undo per candidate, bit for bit"
+    ~name:"score_moves = try_assign + tear penalty per candidate, bit for bit"
     ~count:40
     QCheck.(triple (int_range 0 1000) (int_range 6 16) (int_range 1 6))
     (fun (seed, size, tail_of_region) ->
@@ -244,21 +197,18 @@ let prop_score_moves_exact =
             (fun k cluster ->
               let reference =
                 match
-                  State.speculate_assign st ~node ~cluster ~ii ~target_ii
-                    ~weights
+                  State.try_assign st ~node ~cluster ~ii ~target_ii ~weights
                 with
-                | Ok () ->
+                | Ok st' ->
                     let deficit =
                       tail_of_region - 1
-                      - State.free_issue_slots st ~cluster ~ii
+                      - State.free_issue_slots st' ~cluster ~ii
                     in
                     if deficit > 0 then
-                      State.add_penalty st
+                      State.add_penalty st'
                         (weights.Cost.w_tear *. float_of_int deficit);
-                    let c = State.cost st in
-                    State.undo_speculation st;
                     incr expect_feasible;
-                    Some c
+                    Some (State.cost st')
                 | Error _ -> None
               in
               match reference with
@@ -417,8 +367,6 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_incremental_cost_exact ] );
       ( "speculation",
         [
-          QCheck_alcotest.to_alcotest prop_speculation_roundtrip;
-          QCheck_alcotest.to_alcotest prop_speculative_cost_exact;
           QCheck_alcotest.to_alcotest prop_score_moves_exact;
           QCheck_alcotest.to_alcotest prop_probe_force_matches_clone_path;
         ] );

@@ -62,19 +62,13 @@ let test_hop_distance () =
   Alcotest.(check int) "far" 5 (Postprocess.hop_distance res ~src_cn:0 ~dst_cn:63)
 
 let test_expanded_schedulable () =
-  let _, report, res = Lazy.force solved_fir2dim in
-  let exp = Postprocess.expand res in
-  let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-  match
-    Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-      ~cn_of_instr:exp.Postprocess.cn_of_node ~cns:64 ~dma_ports:8
-      ~start_ii:(Option.get report.Report.final_mii) ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
+  let ddg, report, _ = Lazy.force solved_fir2dim in
+  match Hca_sim.Pipeline.run reference ~original:ddg report with
+  | Error e -> Alcotest.fail (Hca_sim.Pipeline.error_to_string e)
+  | Ok p ->
       Alcotest.(check bool) "valid" true
-        (Hca_sched.Modulo.validate ~ddg:exp.Postprocess.ddg
-           ~cn_of_instr:exp.Postprocess.cn_of_node ~copy_latency:0 s
+        (Hca_sched.Modulo.validate ~ddg:p.expanded.ddg
+           ~cn_of_instr:p.expanded.cn_of_node ~copy_latency:0 p.schedule
         = Ok ())
 
 (* --- topology --------------------------------------------------------- *)

@@ -77,36 +77,45 @@ let test_interp_all_kernels_run () =
 
 (* --- machine simulator -------------------------------------------------- *)
 
+let compile_and_run ?iterations ddg =
+  Pipeline.run ?iterations Dspfabric.reference ~original:ddg
+    (Report.run Dspfabric.reference ddg)
+
 let pipeline ddg =
-  let fabric = Dspfabric.reference in
-  let report = Report.run fabric ddg in
-  match (report.Report.result, report.Report.final_mii) with
-  | Some res, Some final -> (
-      let exp = Postprocess.expand res in
-      let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-      match
-        Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-          ~cn_of_instr:exp.Postprocess.cn_of_node
-          ~cns:(Dspfabric.total_cns fabric)
-          ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
-      with
-      | Ok schedule -> (exp, schedule)
-      | Error e -> failwith e)
-  | _ -> failwith "clusterisation failed"
+  match compile_and_run ddg with
+  | Ok p -> (p.Pipeline.expanded, p.Pipeline.schedule)
+  | Error e -> failwith (Pipeline.error_to_string e)
 
 let test_machine_sim_equivalence kernel f () =
   let ddg = f () in
-  let exp, schedule = pipeline ddg in
-  match
-    Machine_sim.check_against_reference ~iterations:6 ~original:ddg
-      ~expanded:exp.Postprocess.ddg ~cn_of_node:exp.Postprocess.cn_of_node
-      ~schedule ()
-  with
-  | Error e -> Alcotest.failf "%s: %s" kernel e
-  | Ok stats ->
+  match compile_and_run ~iterations:6 ddg with
+  | Error e -> Alcotest.failf "%s: %s" kernel (Pipeline.error_to_string e)
+  | Ok { expanded; stats; _ } ->
       Alcotest.(check bool) "issued everything" true
-        (stats.Machine_sim.issued = 6 * Ddg.size exp.Postprocess.ddg);
+        (stats.Machine_sim.issued = 6 * Ddg.size expanded.Postprocess.ddg);
       Alcotest.(check bool) "pipelined" true (stats.Machine_sim.max_inflight >= 1)
+
+(* The Table-1 kernels have their own cases above; the rest of the
+   registry goes through the same pipeline here. *)
+let test_pipeline_extended_kernels () =
+  List.iter
+    (fun (name, f) ->
+      match compile_and_run (f ()) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" name (Pipeline.error_to_string e))
+    Hca_kernels.Extended.all
+
+(* Checking fir2dim's compiled kernel against idcthor's reference trace
+   must be caught as a divergence, not pass or raise. *)
+let test_pipeline_wrong_original () =
+  let fir = Hca_kernels.Fir2dim.ddg () in
+  let report = Report.run Dspfabric.reference fir in
+  match
+    Pipeline.run Dspfabric.reference ~original:(Hca_kernels.Idcthor.ddg ()) report
+  with
+  | Error (Pipeline.Diverged _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Pipeline.error_to_string e)
+  | Ok _ -> Alcotest.fail "divergence not caught"
 
 let test_machine_sim_catches_bad_schedule () =
   let ddg = Hca_kernels.Fir2dim.ddg () in
@@ -172,5 +181,12 @@ let () =
           Alcotest.test_case "hazard detection" `Slow
             test_machine_sim_catches_bad_schedule;
           Alcotest.test_case "cycle count" `Slow test_machine_sim_cycle_count;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "extended kernels simulate" `Slow
+            test_pipeline_extended_kernels;
+          Alcotest.test_case "wrong original diverges" `Slow
+            test_pipeline_wrong_original;
         ] );
     ]
